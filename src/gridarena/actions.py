@@ -99,13 +99,16 @@ class Train:
 
 @dataclass(frozen=True)
 class Communicate:
+    """``message`` is stored stripped: the grammar cannot carry edge whitespace."""
+
     message: str
 
     def __post_init__(self):
-        if not self.message.strip():
-            raise ValueError("message is empty")
         if "\n" in self.message or "\r" in self.message:
             raise ValueError("message must be a single line")
+        object.__setattr__(self, "message", self.message.strip())
+        if not self.message:
+            raise ValueError("message is empty")
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,15 @@ def _gateway_from_args(args: argparse.Namespace) -> GatewayConfig | None:
         return None
     if args.endpoint is None or args.model is None:
         raise ConfigError(["--endpoint and --model must be given together"])
-    return GatewayConfig(endpoint_url=args.endpoint, model_name=args.model,
-                         api_key_env_var=args.api_key_env,
-                         request_timeout=args.gateway_timeout,
-                         max_retries=args.gateway_retries,
-                         temperature=args.temperature,
-                         max_tokens=args.max_tokens)
+    try:
+        return GatewayConfig(endpoint_url=args.endpoint, model_name=args.model,
+                             api_key_env_var=args.api_key_env,
+                             request_timeout=args.gateway_timeout,
+                             max_retries=args.gateway_retries,
+                             temperature=args.temperature,
+                             max_tokens=args.max_tokens)
+    except ValueError as exc:
+        raise ConfigError([f"gateway: {exc}"]) from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -300,12 +300,6 @@ class GameState:
     def occupancy(self, pos: tuple[int, int]) -> int:
         return len(self.agents_at(pos))
 
-    def node_at(self, pos: tuple[int, int]) -> ResourceNode | None:
-        for node in self.nodes:
-            if node.pos == pos:
-                return node
-        return None
-
     def in_bounds(self, pos: tuple[int, int]) -> bool:
         return 0 <= pos[0] < self.config.grid_width and 0 <= pos[1] < self.config.grid_height
 

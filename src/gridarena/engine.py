@@ -344,11 +344,6 @@ class TurnLog:
     deaths: list[int]
     births: list[int]
 
-    @property
-    def entries(self) -> list[tuple[int, str, str]]:
-        return [(e["agent_id"], e["action"], e["outcome"])
-                for e in self.events if e["type"] == "action"]
-
 
 def step(state: GameState, policies: Any,
          mating_cfg: "_mating.MatingConfig | None" = None) -> tuple[GameState, TurnLog]:

@@ -33,11 +33,23 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .core import AgentState, Attributes, GameConfig, GameState, ResourceNode
+from .core import AgentState, GameConfig, GameState, ResourceNode
 
 LOG_VERSION = 1
 
-EVENT_TYPES = ("header", "upkeep", "policy_fault", "action", "regen", "turn_end", "end")
+# Top-level keys each record type must carry; ``from_text`` rejects a record
+# that lacks one, so readers can index these keys without guarding.
+RECORD_KEYS: dict[str, frozenset[str]] = {
+    "header": frozenset({"type", "version", "config", "agents", "nodes"}),
+    "upkeep": frozenset({"type", "turn", "delta", "deaths"}),
+    "policy_fault": frozenset({"type", "turn", "agent_id", "error"}),
+    "action": frozenset({"type", "turn", "agent_id", "action", "outcome", "fallback", "delta"}),
+    "regen": frozenset({"type", "turn", "delta"}),
+    "turn_end": frozenset({"type", "turn", "deaths", "births", "delta"}),
+    "end": frozenset({"type", "turn", "reason", "survivors", "alive_ids", "agents", "nodes"}),
+}
+
+EVENT_TYPES = tuple(RECORD_KEYS)
 
 
 class LogError(ValueError):
@@ -179,6 +191,10 @@ class GameLog:
                 raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(event, dict) or event.get("type") not in EVENT_TYPES:
                 raise LogError(f"line {lineno}: not a known event record")
+            required = RECORD_KEYS[event["type"]]
+            if not required <= event.keys():
+                missing = ", ".join(sorted(required - event.keys()))
+                raise LogError(f"line {lineno}: {event['type']} record lacks {missing}")
             log.events.append(event)
         return log
 
@@ -274,29 +290,40 @@ class ReplayResult:
 
 def replay(log: GameLog) -> ReplayResult:
     """Fold every delta over the header snapshots, verifying before-values,
-    occupancy, and the final snapshots. Raises ReplayError on divergence."""
+    occupancy, and the final snapshots. Raises ReplayError on divergence,
+    and on a record too malformed to fold (a missing key, a short delta op),
+    naming its line."""
     events = log.events
     if not events or events[0]["type"] != "header":
         raise ReplayError("log does not start with a header record")
     if events[-1]["type"] != "end":
         raise ReplayError("log does not finish with an end record")
-    rep = _Replayer(events[0])
-    for i, event in enumerate(events[1:-1], start=2):
-        where = f"line {i} ({event['type']})"
-        etype = event["type"]
-        if etype in ("header", "end"):
-            raise ReplayError(f"{where}: unexpected {etype} record mid-log")
-        if etype in ("upkeep", "action", "regen", "turn_end"):
-            rep.apply_delta(event.get("delta", []), where)
-        if etype == "turn_end":
-            if event["turn"] != rep.turn:
-                raise ReplayError(f"{where}: turn {event['turn']}, replay at {rep.turn}")
-            rep.turn += 1
-        for agent_id in event.get("deaths", []):
-            if rep.agents[agent_id]["alive"]:
-                raise ReplayError(f"{where}: agent {agent_id} listed dead but alive in replay")
+    where = "line 1 (header)"
+    try:
+        rep = _Replayer(events[0])
+        for i, event in enumerate(events[1:-1], start=2):
+            where = f"line {i} ({event['type']})"
+            etype = event["type"]
+            if etype in ("header", "end"):
+                raise ReplayError(f"{where}: unexpected {etype} record mid-log")
+            if etype in ("upkeep", "action", "regen", "turn_end"):
+                rep.apply_delta(event["delta"], where)
+            if etype == "turn_end":
+                if event["turn"] != rep.turn:
+                    raise ReplayError(f"{where}: turn {event['turn']}, replay at {rep.turn}")
+                rep.turn += 1
+            for agent_id in event.get("deaths", []):
+                if rep.agents[agent_id]["alive"]:
+                    raise ReplayError(f"{where}: agent {agent_id} listed dead but alive in replay")
+        where = f"line {len(events)} (end)"
+        return _check_end(rep, events[-1], len(events))
+    except ReplayError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ReplayError(f"{where}: malformed record ({type(exc).__name__}: {exc})") from exc
 
-    end = events[-1]
+
+def _check_end(rep: _Replayer, end: dict[str, Any], n_events: int) -> ReplayResult:
     if end["turn"] != rep.turn:
         raise ReplayError(f"end record turn {end['turn']}, replay reached {rep.turn}")
     for snap in end["agents"]:
@@ -306,13 +333,16 @@ def replay(log: GameLog) -> ReplayResult:
             raise ReplayError(f"final agent {snap['id']} mismatch:\n  replay {got}\n  log    {want}")
     if len(rep.agents) != len(end["agents"]):
         raise ReplayError("replay and end record disagree on roster size")
+    if len(rep.nodes) != len(end["nodes"]):
+        raise ReplayError("replay and end record disagree on node count")
     for index, snap in enumerate(end["nodes"]):
         if rep.nodes[index] != snap:
             raise ReplayError(f"final node {index} mismatch: replay {rep.nodes[index]}, log {snap}")
-    alive = sum(1 for a in rep.agents.values() if a["alive"])
-    if alive != end["survivors"]:
-        raise ReplayError(f"end record says {end['survivors']} survivors, replay has {alive}")
-    return ReplayResult(turns=rep.turn, events=len(events), survivors=alive,
+    alive_ids = [agent_id for agent_id, agent in rep.agents.items() if agent["alive"]]
+    if alive_ids != end["alive_ids"] or len(alive_ids) != end["survivors"]:
+        raise ReplayError(f"end record says {end['survivors']} survivors {end['alive_ids']}, "
+                          f"replay has {len(alive_ids)} {alive_ids}")
+    return ReplayResult(turns=rep.turn, events=n_events, survivors=len(alive_ids),
                         reason=end["reason"])
 
 
@@ -368,19 +398,3 @@ class Delta:
         self.state.agents[agent.id] = agent
         self.ops.append(["spawn", agent_snapshot(agent)])
 
-
-def snapshot_to_agent(snap: dict[str, Any]) -> AgentState:
-    """Rebuild an AgentState from a snapshot dict (used by analysis tools)."""
-    return AgentState(
-        id=snap["id"],
-        pos=(snap["pos"][0], snap["pos"][1]),
-        attrs=Attributes(**snap["attrs"]),
-        food=snap["food"],
-        tokens=snap["tokens"],
-        health=snap["health"],
-        alive=snap["alive"],
-        role=snap["role"],
-        vitality=snap["vitality"],
-        revealed_until=snap["revealed_until"],
-        train_progress=dict(snap["train_progress"]),
-    )

@@ -1,22 +1,32 @@
 """HTTP client for chat-completion endpoints with bounded concurrency.
 
-One POST per prompt: ``{model, messages, temperature, max_tokens}`` with a
-Bearer token read from a named environment variable. Transport errors, 429s,
-and 5xx responses retry with jittered exponential backoff; authentication
-failures never retry. ``batch_complete`` fans out over a thread pool capped
-at ``max_concurrency`` (default 4) and reports per-prompt failures in place,
-so one bad prompt never cancels its siblings.
+Standard library only (``urllib.request``). One JSON POST per attempt:
+``{model, messages, temperature, max_tokens}`` with a Bearer token read from
+a named environment variable, each on a fresh connection (no keep-alive).
+``HTTP(S)_PROXY``/``NO_PROXY`` are honoured, and HTTPS verifies against the
+system CA store through ``ssl``'s default context. Redirects are not
+followed: a 3xx fails at once naming its ``Location``, since following it
+would drop the POST body (301-303) or carry the key to another host.
+Transport errors, 429s, and 5xx responses retry with jittered exponential
+backoff; authentication failures never retry; any other status, and a 200
+whose body is not JSON, fail at once. ``batch_complete`` fans out over a
+thread pool capped at ``max_concurrency`` (default 4) and reports
+per-prompt failures in place, so one bad prompt never cancels its siblings.
 """
 
 from __future__ import annotations
 
+import functools
+import http.client
+import json
 import os
 import random
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import urlsplit
 
 _jitter = random.Random()
 
@@ -57,6 +67,15 @@ class GatewayConfig:
     def __post_init__(self):
         if not self.endpoint_url:
             raise ValueError("endpoint_url must be set")
+        url = urlsplit(self.endpoint_url)
+        try:
+            url.port  # raises ValueError for a non-numeric or out-of-range port
+        except ValueError:
+            url = None
+        if (url is None or url.scheme not in ("http", "https") or not url.hostname
+                or not self.endpoint_url.isprintable() or " " in self.endpoint_url):
+            raise ValueError("endpoint_url must be an http:// or https:// URL with a "
+                             f"host, a valid port and no whitespace, got {self.endpoint_url!r}")
         if not self.model_name:
             raise ValueError("model_name must be set")
         if self.max_concurrency < 1:
@@ -86,51 +105,61 @@ def _backoff_delay(attempt: int, config: GatewayConfig) -> float:
     return delay * _jitter.uniform(0.5, 1.0)
 
 
+class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None  # urllib then raises HTTPError with the 3xx status
+
+
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    """Built on first use, as ``urlopen``'s is, so the proxy env is read then."""
+    return urllib.request.build_opener(_RefuseRedirects)
+
+
 def complete(prompt: str, config: GatewayConfig) -> str:
     """Return the assistant text for one prompt, retrying retryable failures.
 
     Raises GatewayAuthError before any request when the credential is
-    missing, and GatewayError once retries are exhausted.
+    missing or unusable, and GatewayError once retries are exhausted.
     """
     key = os.environ.get(config.api_key_env_var)
-    if not key:
-        raise GatewayAuthError(
-            f"environment variable {config.api_key_env_var} is not set")
-    headers = {"Authorization": f"Bearer {key}"}
-    body = _request_body(prompt, config)
+    if not key or not key.isprintable():  # a line break cannot go in a header
+        raise GatewayAuthError(f"environment variable {config.api_key_env_var} "
+                               "is not set or not one printable line")
+    headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+    data = json.dumps(_request_body(prompt, config)).encode("utf-8")
 
     last_error: GatewayError | None = None
-    attempts = 0
-    for attempt in range(config.max_retries + 1):
-        attempts = attempt + 1
+    for attempts in range(1, config.max_retries + 2):
+        request = urllib.request.Request(config.endpoint_url, data=data, headers=headers)
+        status = None
         try:
-            response = requests.post(config.endpoint_url, json=body,
-                                     headers=headers, timeout=config.request_timeout)
-        except requests.RequestException as exc:
+            with _opener().open(request, timeout=config.request_timeout) as response:
+                status, raw = response.status, response.read()
+        except urllib.error.HTTPError as exc:  # any non-2xx, 3xx included
+            exc.close()
+            status, location = exc.code, exc.headers.get("Location")
+        except (OSError, http.client.HTTPException) as exc:
             last_error = GatewayError(f"transport error: {exc}", attempts=attempts)
-        else:
-            if response.status_code == 200:
-                try:
-                    payload = response.json()
-                except ValueError as exc:
-                    raise GatewayError(f"non-JSON completion body: {exc}",
-                                       status=200, attempts=attempts) from exc
-                return _extract_text(payload)
-            if response.status_code in (401, 403):
-                raise GatewayAuthError(
-                    f"authentication rejected (HTTP {response.status_code})",
-                    status=response.status_code, attempts=attempts)
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = GatewayError(f"HTTP {response.status_code}",
-                                          status=response.status_code, attempts=attempts)
-            else:
-                raise GatewayError(f"HTTP {response.status_code}",
-                                   status=response.status_code, attempts=attempts)
-        if attempt < config.max_retries:
-            time.sleep(_backoff_delay(attempt, config))
+        if status == 200:
+            try:
+                payload = json.loads(raw)
+            except ValueError as exc:
+                raise GatewayError(f"non-JSON completion body: {exc}",
+                                   status=200, attempts=attempts) from exc
+            return _extract_text(payload)
+        if status in (401, 403):
+            raise GatewayAuthError(f"authentication rejected (HTTP {status})",
+                                   status=status, attempts=attempts)
+        if status is not None:
+            moved = f" to {location}; set endpoint_url to it" if 300 <= status < 400 else ""
+            last_error = GatewayError(f"HTTP {status}{moved}", status=status, attempts=attempts)
+            if status != 429 and status < 500:
+                raise last_error
+        if attempts <= config.max_retries:
+            time.sleep(_backoff_delay(attempts - 1, config))
 
     assert last_error is not None
-    last_error.attempts = attempts
     raise last_error
 
 

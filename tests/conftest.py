@@ -7,6 +7,7 @@ import hashlib
 import json
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -67,6 +68,8 @@ class StubGateway(ThreadingHTTPServer):
 
     ``status_script`` is consumed one status per request (then 200s);
     ``hold_seconds`` delays each response so concurrency becomes observable;
+    ``raw_body``, when set, replaces every 200 reply's JSON payload;
+    ``location`` is sent as the ``Location`` header of every 3xx reply;
     ``max_in_flight`` records the high-water mark of simultaneous requests.
     """
 
@@ -81,8 +84,11 @@ class StubGateway(ThreadingHTTPServer):
         self.request_count = 0
         self.requests: list[dict] = []
         self.auth_headers: list[str | None] = []
+        self.content_types: list[str | None] = []
         self.status_script: list[int] = []
         self.hold_seconds = 0.0
+        self.raw_body: bytes | None = None
+        self.location: str | None = None
 
     @property
     def url(self) -> str:
@@ -95,8 +101,11 @@ class StubGateway(ThreadingHTTPServer):
             self.request_count = 0
             self.requests = []
             self.auth_headers = []
+            self.content_types = []
             self.status_script = []
             self.hold_seconds = 0.0
+            self.raw_body = None
+            self.location = None
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -112,18 +121,24 @@ class _StubHandler(BaseHTTPRequestHandler):
             with server.lock:
                 server.requests.append(body)
                 server.auth_headers.append(self.headers.get("Authorization"))
+                server.content_types.append(self.headers.get("Content-Type"))
                 status = server.status_script.pop(0) if server.status_script else 200
             if server.hold_seconds:
                 time.sleep(server.hold_seconds)
             if status != 200:
                 payload = json.dumps({"error": {"code": status}}).encode("utf-8")
                 self.send_response(status)
+            elif server.raw_body is not None:
+                payload = server.raw_body
+                self.send_response(200)
             else:
                 prompt = body["messages"][0]["content"]
                 text = server.responder(prompt)
                 payload = json.dumps(
                     {"choices": [{"message": {"content": text}}]}).encode("utf-8")
                 self.send_response(200)
+            if server.location and 300 <= status < 400:
+                self.send_header("Location", server.location)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
@@ -132,14 +147,15 @@ class _StubHandler(BaseHTTPRequestHandler):
             with server.lock:
                 server.in_flight -= 1
 
+    do_GET = do_POST  # records a client that followed a redirect as a GET
+
     def log_message(self, *args):  # silence per-request stderr noise
         pass
 
 
-@pytest.fixture
-def stub_gateway(monkeypatch):
-    monkeypatch.setenv(KEY_ENV, "stub-key")
-    server = StubGateway()
+@contextmanager
+def running_stub(responder=echo_responder):
+    server = StubGateway(responder)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -147,6 +163,13 @@ def stub_gateway(monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def stub_gateway(monkeypatch):
+    monkeypatch.setenv(KEY_ENV, "stub-key")
+    with running_stub() as server:
+        yield server
 
 
 def gateway_config(server: StubGateway, **overrides) -> GatewayConfig:

@@ -1,7 +1,7 @@
 """Action grammar: construction rules, rendering, and free-text parsing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gridarena.actions import (
     ActionParseError,
@@ -154,5 +154,6 @@ action_strategy = st.one_of(
 
 
 @given(action_strategy)
+@example(Communicate("hi "))
 def test_round_trip_property(action):
     assert parse_action(render(action)) == action

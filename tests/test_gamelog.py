@@ -1,17 +1,21 @@
 """Log serialization and replay verification."""
 
 import json
+import random
 
 import pytest
 
 from gridarena.core import new_game
 from gridarena.engine import run_game
 from gridarena.gamelog import (
+    RECORD_KEYS,
     GameLog,
     LogError,
     ReplayError,
     replay,
 )
+from gridarena.harness import run_experiment
+from gridarena.metrics import MetricsError, summarize
 from gridarena.policy import PolicyMap, make_scripted
 
 from conftest import small_config
@@ -157,3 +161,85 @@ def test_replay_rejects_overfilled_cells():
                  teleport)
     with pytest.raises(ReplayError):
         replay(bad)
+
+
+# --------------------------------------------------------------------------
+# Malformed logs: every defect ends in LogError or ReplayError
+
+
+@pytest.mark.parametrize("etype", sorted(RECORD_KEYS))
+def test_from_text_rejects_records_missing_a_key(etype):
+    records = [json.loads(line) for line in scripted_log().lines()]
+    # scripted games raise no policy faults; splice one in
+    records.insert(1, {"type": "policy_fault", "turn": 0, "agent_id": 0, "error": "boom"})
+    lines = [json.dumps(record) for record in records]
+    assert len(GameLog.from_text("\n".join(lines))) == len(lines)
+    index = next(i for i, record in enumerate(records) if record["type"] == etype)
+    for key in sorted(RECORD_KEYS[etype] - {"type"}):
+        broken = {k: v for k, v in records[index].items() if k != key}
+        mutated = lines[:index] + [json.dumps(broken)] + lines[index + 1:]
+        with pytest.raises(LogError, match=f"line {index + 1}: {etype} record lacks {key}"):
+            GameLog.from_text("\n".join(mutated))
+
+
+def test_replay_reports_short_delta_op_with_its_line():
+    def shorten(record):
+        op = next(op for op in record["delta"] if op[0] == "agent")
+        del op[3]
+
+    log = tamper(scripted_log(), first_agent_op, shorten)
+    with pytest.raises(ReplayError, match=r"line \d+ \(\w+\): malformed record"):
+        replay(log)
+
+
+def test_replay_rejects_dropped_end_node():
+    log = tamper(scripted_log(), lambda r: r["type"] == "end",
+                 lambda record: record["nodes"].pop())
+    with pytest.raises(ReplayError, match="node count"):
+        replay(log)
+
+
+def test_replay_rejects_forged_alive_ids():
+    log = tamper(scripted_log(), lambda r: r["type"] == "end",
+                 lambda record: record["alive_ids"].pop())
+    with pytest.raises(ReplayError, match="survivors"):
+        replay(log)
+
+
+def json_paths(obj, prefix=()):
+    """Every key or list-element path inside a decoded record."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def test_single_deletions_never_escape_as_bare_errors(tmp_path):
+    """Delete one key or list element anywhere in a V7 log: reading,
+    replaying and summarizing may only fail with the documented errors."""
+    text = run_experiment("V7", seed=3, out_dir=tmp_path).log_path.read_text()
+    lines = text.splitlines()
+    rng = random.Random(20260)
+    rejected = 0
+    for _ in range(300):
+        index = rng.randrange(len(lines))
+        record = json.loads(lines[index])
+        path = rng.choice(list(json_paths(record)))
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        mutated = lines[:index] + [json.dumps(record)] + lines[index + 1:]
+        try:
+            log = GameLog.from_text("\n".join(mutated))
+            replay(log)
+            summarize(log)
+        except (LogError, ReplayError, MetricsError):
+            rejected += 1
+    # nearly every deletion is caught (a dropped turn_end death is not yet)
+    assert rejected >= 295

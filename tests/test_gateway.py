@@ -1,9 +1,16 @@
 """HTTP client behavior: auth, retries, backoff bounds, batching."""
 
+import os
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gridarena
+from gridarena import gateway
 from gridarena.gateway import (
     GatewayAuthError,
     GatewayConfig,
@@ -13,7 +20,7 @@ from gridarena.gateway import (
     complete,
 )
 
-from conftest import KEY_ENV, gateway_config
+from conftest import KEY_ENV, gateway_config, running_stub
 
 
 def test_gateway_config_validation():
@@ -25,6 +32,22 @@ def test_gateway_config_validation():
         GatewayConfig(endpoint_url="http://x", model_name="m", max_concurrency=0)
     with pytest.raises(ValueError):
         GatewayConfig(endpoint_url="http://x", model_name="m", max_retries=-1)
+
+
+@pytest.mark.parametrize("url", ["localhost:8000/v1", "127.0.0.1:8000/v1",
+                                 "ftp://host/v1", "http:///v1", "//host/v1",
+                                 "http://host:abc/v1", "http://host:99999/v1",
+                                 "http://host/v 1", "http://host/v1\n",
+                                 "http://host/v1\x00", "\thttp://host/v1"])
+def test_gateway_config_rejects_malformed_endpoint(url):
+    with pytest.raises(ValueError, match="endpoint_url"):
+        GatewayConfig(endpoint_url=url, model_name="m")
+
+
+@pytest.mark.parametrize("url", ["https://gateway.example/v1/chat/completions",
+                                 "http://[::1]:8000/v1", "HTTP://localhost:8000"])
+def test_gateway_config_accepts_http_urls(url):
+    assert GatewayConfig(endpoint_url=url, model_name="m").endpoint_url == url
 
 
 def test_complete_happy_path_sends_expected_body(stub_gateway):
@@ -41,6 +64,13 @@ def test_complete_happy_path_sends_expected_body(stub_gateway):
 
 def test_missing_api_key_fails_before_any_request(stub_gateway, monkeypatch):
     monkeypatch.delenv(KEY_ENV, raising=False)
+    with pytest.raises(GatewayAuthError):
+        complete("hello", gateway_config(stub_gateway))
+    assert stub_gateway.request_count == 0
+
+
+def test_unprintable_api_key_fails_before_any_request(stub_gateway, monkeypatch):
+    monkeypatch.setenv(KEY_ENV, "stub-key\n")
     with pytest.raises(GatewayAuthError):
         complete("hello", gateway_config(stub_gateway))
     assert stub_gateway.request_count == 0
@@ -127,3 +157,109 @@ def test_batch_bounds_in_flight_requests(stub_gateway):
     assert stub_gateway.request_count == 16
     assert stub_gateway.max_in_flight <= 4
     assert stub_gateway.max_in_flight >= 2  # pool actually ran in parallel
+
+
+# --------------------------------------------------------------------------
+# Transport: what the standard-library client must keep doing
+
+
+def count_backoffs(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    real = gateway._backoff_delay
+
+    def counting(attempt, config):
+        calls.append(attempt)
+        return real(attempt, config)
+
+    monkeypatch.setattr(gateway, "_backoff_delay", counting)
+    return calls
+
+
+def test_json_content_type_is_sent(stub_gateway):
+    complete("hello", gateway_config(stub_gateway))
+    assert stub_gateway.content_types == ["application/json"]
+
+
+def test_non_json_200_is_an_immediate_error(stub_gateway):
+    stub_gateway.raw_body = b"<html>busy</html>"
+    with pytest.raises(GatewayError) as excinfo:
+        complete("hello", gateway_config(stub_gateway, max_retries=3))
+    assert stub_gateway.request_count == 1
+    assert excinfo.value.status == 200
+    assert excinfo.value.attempts == 1
+
+
+def test_non_200_success_status_does_not_retry(stub_gateway):
+    stub_gateway.status_script = [204]
+    with pytest.raises(GatewayError) as excinfo:
+        complete("hello", gateway_config(stub_gateway, max_retries=3))
+    assert stub_gateway.request_count == 1
+    assert excinfo.value.status == 204
+
+
+def test_connection_refused_is_retried(monkeypatch):
+    monkeypatch.setenv(KEY_ENV, "stub-key")
+    with socket.socket() as sock:  # a port nobody listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    config = GatewayConfig(endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions",
+                           model_name="m", api_key_env_var=KEY_ENV, max_retries=2,
+                           backoff_base=0.01, backoff_cap=0.02)
+    backoffs = count_backoffs(monkeypatch)
+    with pytest.raises(GatewayError) as excinfo:
+        complete("hello", config)
+    assert excinfo.value.attempts == config.max_retries + 1
+    assert excinfo.value.status is None
+    assert "transport error" in str(excinfo.value)
+    assert backoffs == [0, 1]
+
+
+def test_timeout_is_retried(stub_gateway, monkeypatch):
+    stub_gateway.hold_seconds = 0.5
+    config = gateway_config(stub_gateway, request_timeout=0.1, max_retries=1)
+    backoffs = count_backoffs(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(GatewayError) as excinfo:
+        complete("hello", config)
+    assert time.monotonic() - started < 0.5 * 2
+    assert excinfo.value.attempts == 2
+    assert "transport error" in str(excinfo.value)
+    assert stub_gateway.request_count == 2
+    assert backoffs == [0]
+
+
+def test_gateway_works_without_requests_installed(stub_gateway):
+    """The package imports and completes with ``requests`` unimportable."""
+    stub_gateway.responder = lambda prompt: "stdlib only"
+    script = "\n".join([
+        "import sys",
+        "sys.modules['requests'] = None",
+        "import gridarena",
+        "from gridarena.gateway import GatewayConfig, complete",
+        f"config = GatewayConfig(endpoint_url={stub_gateway.url!r}, model_name='m',",
+        f"                       api_key_env_var={KEY_ENV!r})",
+        "print(complete('hello', config))",
+    ])
+    src = Path(gridarena.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "stdlib only"
+    assert stub_gateway.request_count == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_is_not_followed(stub_gateway, status):
+    """A 3xx fails at once, naming its target; the key never reaches it."""
+    with running_stub() as elsewhere:
+        stub_gateway.status_script = [status]
+        stub_gateway.location = elsewhere.url
+        with pytest.raises(GatewayError) as excinfo:
+            complete("hello", gateway_config(stub_gateway, max_retries=3))
+        assert elsewhere.request_count == 0
+        assert elsewhere.auth_headers == []
+    assert stub_gateway.request_count == 1
+    assert excinfo.value.status == status
+    assert excinfo.value.attempts == 1
+    assert elsewhere.url in str(excinfo.value)

@@ -336,6 +336,13 @@ def test_cli_exit_code_two_for_config_errors(tmp_path, capsys):
     assert cli("validate-config", str(bad)) == 2
 
 
+def test_cli_malformed_endpoint_is_a_config_error(capsys):
+    assert cli("run", "--preset", "P1", "--policies", "llm",
+               "--endpoint", "localhost:8000/v1", "--model", "m") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "endpoint_url" in err
+
+
 def test_cli_exit_code_three_for_runtime_faults(tmp_path):
     assert cli("replay", str(tmp_path / "missing.log")) == 3
 
