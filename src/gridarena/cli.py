@@ -2,7 +2,7 @@
 
 Verbs: ``run`` (one experiment), ``sweep`` (one experiment per parameter
 value), ``analyze`` (reports from existing logs), ``validate-config``
-(check a flat config file), ``replay`` (verify a log by re-deriving state).
+(check a flat config file), ``replay`` (re-execute a log's decisions, check the rest).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime fault,
 4 analysis or replay error.
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.set_defaults(handler=_cmd_validate_config)
 
     replay_parser = commands.add_parser("replay", help="verify a game log by "
-                                        "re-deriving every state transition")
+                                        "re-executing it")
     replay_parser.add_argument("log", type=Path)
     replay_parser.set_defaults(handler=_cmd_replay)
     return parser

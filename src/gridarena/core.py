@@ -7,6 +7,7 @@ built from equal configs (same seed) are identical object for object.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -102,6 +103,9 @@ class GameConfig:
     @property
     def area(self) -> int:
         return self.grid_width * self.grid_height
+
+    def cell_at(self, index: int) -> tuple[int, int]:  # grid order, row by row
+        return (index % self.grid_width, index // self.grid_width)
 
     def problems(self) -> list[str]:
         out = []
@@ -223,9 +227,12 @@ def generate_attributes(rng: random.Random) -> Attributes:
     """Draw a fresh attribute block: start all at 1, then spend 24 points
     one at a time on a uniformly random attribute still below 8."""
     values = [ATTRIBUTE_MIN] * len(ATTRIBUTE_NAMES)
+    open_slots = list(range(len(ATTRIBUTE_NAMES)))  # in order; a slot leaves at the cap
     for _ in range(INITIAL_ATTRIBUTE_SUM - len(ATTRIBUTE_NAMES) * ATTRIBUTE_MIN):
-        open_slots = [i for i, v in enumerate(values) if v < INITIAL_ATTRIBUTE_CAP]
-        values[rng.choice(open_slots)] += 1
+        slot = rng.choice(open_slots)
+        values[slot] += 1
+        if values[slot] == INITIAL_ATTRIBUTE_CAP:
+            open_slots.remove(slot)
     return Attributes(*values)
 
 
@@ -290,6 +297,11 @@ class GameState:
     next_agent_id: int = 0
     recent_actions: dict[int, list[str]] = field(default_factory=dict)
     inbox: dict[int, list[tuple[int, str]]] = field(default_factory=dict)
+    # node position -> index into ``nodes``; nodes never move or appear
+    node_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.node_index = {node.pos: index for index, node in enumerate(self.nodes)}
 
     def alive_agents(self) -> list[AgentState]:
         return [a for a in self.agents.values() if a.alive]
@@ -306,8 +318,9 @@ class GameState:
 
 def place_nodes(rng: random.Random, config: GameConfig) -> list[ResourceNode]:
     """Scatter food then token nodes on distinct cells, full stock."""
-    cells = [(x, y) for y in range(config.grid_height) for x in range(config.grid_width)]
-    picked = rng.sample(cells, config.n_food_nodes + config.n_token_nodes)
+    # sampling cell indices draws what sampling the grid-order cell list would
+    picked = [config.cell_at(i)
+              for i in rng.sample(range(config.area), config.n_food_nodes + config.n_token_nodes)]
     nodes = [ResourceNode(pos=p, kind="food", regen=config.food_regen)
              for p in picked[:config.n_food_nodes]]
     nodes += [ResourceNode(pos=p, kind="token", regen=config.token_regen)
@@ -328,12 +341,20 @@ def new_game(config: GameConfig) -> GameState:
     state = GameState(config=config, agents={}, nodes=nodes, rng=rng)
 
     sexual = config.engine_variant == VARIANT_SEXUAL_SELECTION
-    cells = [(x, y) for y in range(config.grid_height) for x in range(config.grid_width)]
+    # draw the n-th cell below capacity in grid order: O(roster), not O(area)
+    full: list[int] = []                  # indices of full cells, ascending
+    occupancy: dict[int, int] = {}
     for i in range(config.n_agents):
         attrs = generate_attributes(rng)
-        open_cells = [c for c in cells if state.occupancy(c) < config.cell_capacity]
-        pos = rng.choice(open_cells)
-        agent = AgentState(id=i, pos=pos, attrs=attrs)
+        cell = rng.choice(range(config.area - len(full)))
+        for index in full:
+            if index > cell:
+                break
+            cell += 1
+        occupancy[cell] = occupancy.get(cell, 0) + 1
+        if occupancy[cell] == config.cell_capacity:
+            bisect.insort(full, cell)
+        agent = AgentState(id=i, pos=config.cell_at(cell), attrs=attrs)
         if sexual:
             agent.vitality = rng.randint(1, 10)
         state.agents[i] = agent

@@ -15,6 +15,9 @@ One turn runs in a fixed order:
 5. regen: nodes restock by ``regen`` up to their cap.
 6. death sweep and turn_end bookkeeping; the turn counter increments.
 
+``play_turn`` holds these rules; steps 2-3 are its callback, which asks the
+policies in ``step`` and reads a log's decisions in ``gamelog.replay``.
+
 The engine is policy-agnostic: ``policies`` is any object providing
 
     decide_all(observations: dict[int, Observation])
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from . import mating as _mating
 from .actions import (
@@ -64,6 +67,9 @@ OUTCOME_OK = "ok"
 OUTCOME_ACCEPTED = "accepted"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_CANCELLED_DEAD = "cancelled_dead"
+
+# Default mating costs only: the log header does not record them for replay.
+MATING = _mating.MatingConfig()
 
 
 # --------------------------------------------------------------------------
@@ -182,11 +188,12 @@ def regen_nodes(state: GameState, delta: Delta) -> None:
         delta.set_node_stock(index, min(node.stock_cap, node.stock + node.regen))
 
 
-def sweep_deaths(state: GameState, delta: Delta) -> list[int]:
-    """Flip agents whose food or health hit 0 during a resolution."""
+def sweep_deaths(state: GameState, delta: Delta,
+                 agents: list[AgentState] | None = None) -> list[int]:
+    """Flip ``agents`` (default: the roster) whose food or health hit 0."""
     deaths = []
-    for agent in state.alive_agents():
-        if agent.food <= 0 or agent.health <= 0:
+    for agent in state.alive_agents() if agents is None else agents:
+        if agent.alive and (agent.food <= 0 or agent.health <= 0):
             delta.set_agent(agent, "alive", False)
             deaths.append(agent.id)
     return deaths
@@ -211,15 +218,8 @@ def check_termination(state: GameState) -> Termination:
 # Action resolution
 
 
-def _node_index_at(state: GameState, pos: tuple[int, int]) -> int | None:
-    for index, node in enumerate(state.nodes):
-        if node.pos == pos:
-            return index
-    return None
-
-
 def _resolve_gather(state: GameState, agent: AgentState, delta: Delta) -> str:
-    index = _node_index_at(state, agent.pos)
+    index = state.node_index.get(agent.pos)
     if index is None:
         return "failed_no_node"
     node = state.nodes[index]
@@ -345,13 +345,16 @@ class TurnLog:
     births: list[int]
 
 
-def step(state: GameState, policies: Any,
-         mating_cfg: "_mating.MatingConfig | None" = None) -> tuple[GameState, TurnLog]:
-    """Advance the game one full turn, mutating ``state`` in place."""
-    if mating_cfg is None:
-        mating_cfg = _mating.MatingConfig()
+# A decided action: (action, fallback flag, policy fault text or None).
+Plan = tuple[Action, bool, str | None]
+
+
+def play_turn(state: GameState, policies: Any,
+              decide: Callable[[list[int]], dict[int, Plan]]) -> Iterator[dict[str, Any]]:
+    """Play one turn by the rules, mutating ``state`` and yielding each record
+    as it is produced. ``decide(actors)`` gives the plans of the agents alive
+    after upkeep; ``policies.evaluate_proposal`` answers REPRODUCE proposals."""
     turn = state.turn
-    events: list[dict[str, Any]] = []
     deaths: list[int] = []
     births: list[int] = []
 
@@ -359,26 +362,12 @@ def step(state: GameState, policies: Any,
     delta = Delta(state)
     upkeep_deaths = apply_upkeep(state, delta)
     deaths.extend(upkeep_deaths)
-    events.append({"type": "upkeep", "turn": turn, "delta": delta.ops,
-                   "deaths": upkeep_deaths})
+    yield {"type": "upkeep", "turn": turn, "delta": delta.ops, "deaths": upkeep_deaths}
 
-    # 2. observations, all from the same post-upkeep snapshot
+    # 2-3. observations and decisions, from the post-upkeep state
     actors = [a.id for a in state.alive_agents()]
-    observations = {aid: observe(state, aid) for aid in actors}
+    plans = decide(actors)
     state.inbox = {}
-
-    # 3. batch decision collection
-    decisions = policies.decide_all(observations) if actors else {}
-    plans: dict[int, tuple[Action, bool, str | None]] = {}
-    for aid in actors:
-        decision = decisions.get(aid)
-        if decision is None:
-            plans[aid] = (REST, True, "policy returned no decision")
-        elif isinstance(decision, BaseException):
-            plans[aid] = (REST, True, f"{type(decision).__name__}: {decision}")
-        else:
-            fallback = getattr(decision, "parse_status", "ok") != "ok"
-            plans[aid] = (decision.action, fallback, None)
 
     # 4. sequential resolution in seeded-random order
     order = sorted(actors)
@@ -386,42 +375,60 @@ def step(state: GameState, policies: Any,
     for aid in order:
         agent = state.agents[aid]
         action, fallback, fault = plans[aid]
+        text = render(action)
         if fault is not None:
-            events.append({"type": "policy_fault", "turn": turn,
-                           "agent_id": aid, "error": fault})
+            yield {"type": "policy_fault", "turn": turn, "agent_id": aid, "error": fault}
         if not agent.alive:
-            events.append({"type": "action", "turn": turn, "agent_id": aid,
-                           "action": render(action), "outcome": OUTCOME_CANCELLED_DEAD,
-                           "fallback": fallback, "delta": []})
+            yield {"type": "action", "turn": turn, "agent_id": aid, "action": text,
+                   "outcome": OUTCOME_CANCELLED_DEAD, "fallback": fallback, "delta": []}
             continue
         delta = Delta(state)
-        outcome = resolve_action(state, agent, action, delta, policies,
-                                 mating_cfg, births)
-        deaths.extend(sweep_deaths(state, delta))
-        events.append({"type": "action", "turn": turn, "agent_id": aid,
-                       "action": render(action), "outcome": outcome,
-                       "fallback": fallback, "delta": delta.ops})
+        outcome = resolve_action(state, agent, action, delta, policies, MATING, births)
+        touched = sorted({op[1] for op in delta.ops if op[0] == "agent"})  # roster order
+        deaths.extend(sweep_deaths(state, delta, [state.agents[i] for i in touched]))
+        yield {"type": "action", "turn": turn, "agent_id": aid, "action": text,
+               "outcome": outcome, "fallback": fallback, "delta": delta.ops}
         history = state.recent_actions.setdefault(aid, [])
-        history.append(render(action))
+        history.append(text)
         del history[:-RECENT_ACTION_WINDOW]
 
     # 5. node regeneration
     delta = Delta(state)
     regen_nodes(state, delta)
-    events.append({"type": "regen", "turn": turn, "delta": delta.ops})
+    yield {"type": "regen", "turn": turn, "delta": delta.ops}
 
     # 6. closing sweep (a no-op unless a resolution missed a death) and bookkeeping
     delta = Delta(state)
     deaths.extend(sweep_deaths(state, delta))
-    events.append({"type": "turn_end", "turn": turn, "deaths": deaths,
-                   "births": births, "delta": delta.ops})
-
     state.turn = turn + 1
-    return state, TurnLog(turn=turn, events=events, deaths=deaths, births=births)
+    yield {"type": "turn_end", "turn": turn, "deaths": deaths, "births": births,
+           "delta": delta.ops}
 
 
-def run_game(state: GameState, policies: Any,
-             mating_cfg: "_mating.MatingConfig | None" = None) -> GameLog:
+def _plan(decision: Any) -> Plan:
+    """A policy's answer as a plan; a missing or failed decision is REST."""
+    if decision is None:
+        return REST, True, "policy returned no decision"
+    if isinstance(decision, BaseException):
+        return REST, True, f"{type(decision).__name__}: {decision}"
+    return decision.action, getattr(decision, "parse_status", "ok") != "ok", None
+
+
+def step(state: GameState, policies: Any) -> tuple[GameState, TurnLog]:
+    """Advance the game one full turn, mutating ``state`` in place."""
+
+    def decide(actors: list[int]) -> dict[int, Plan]:
+        observations = {aid: observe(state, aid) for aid in actors}
+        decisions = policies.decide_all(observations) if actors else {}
+        return {aid: _plan(decisions.get(aid)) for aid in actors}
+
+    events = list(play_turn(state, policies, decide))
+    end = events[-1]
+    return state, TurnLog(turn=end["turn"], events=events, deaths=end["deaths"],
+                          births=end["births"])
+
+
+def run_game(state: GameState, policies: Any) -> GameLog:
     """Step ``state`` to termination and return the complete event log."""
     log = GameLog()
     log.append(header_event(state))
@@ -429,7 +436,7 @@ def run_game(state: GameState, policies: Any,
         term = check_termination(state)
         if not term.running:
             break
-        _, turn_log = step(state, policies, mating_cfg)
+        _, turn_log = step(state, policies)
         log.extend(turn_log.events)
     log.append(end_event(state, term.reason or "max_turns"))
     return log

@@ -13,27 +13,29 @@ types, in the order they appear in a log::
               death-sweep delta, normally empty)
     end       termination reason, survivor count, final snapshots
 
-A delta is a list of atomic ops, each verifiable on replay:
+A delta is a list of atomic ops:
 
     ["agent", id, field, before, after]   field may be "pos", "attr:STR",
                                           "train:STR", or a plain field name
     ["node", index, "stock", before, after]
     ["spawn", agent_snapshot]
 
-``replay`` folds deltas over the header snapshots, checking every ``before``
-value and the cell-capacity bound on the way, and finally compares the folded
-state against the end-record snapshots. It doubles as the integrity checker.
+``replay`` is the integrity checker: it re-executes the game with the
+engine's rules and compares every record. Decisions are read from the log
+(action text, fallback flag, policy faults, a chooser's accept/reject);
+everything else (snapshots, deltas, outcomes, order, deaths, births, the end
+record) is re-derived.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .core import AgentState, GameConfig, GameState, ResourceNode
+from .actions import REST, parse_action
+from .core import AgentState, GameConfig, GameState, ResourceNode, new_game
 
 LOG_VERSION = 1
 
@@ -57,7 +59,7 @@ class LogError(ValueError):
 
 
 class ReplayError(ValueError):
-    """Replay diverged from the recorded deltas or snapshots."""
+    """Re-execution diverged from the log, or the log is unusable."""
 
 
 # --------------------------------------------------------------------------
@@ -208,78 +210,6 @@ class GameLog:
 # Replay
 
 
-def _snapshot_to_comparable(snap: dict[str, Any]) -> dict[str, Any]:
-    out = copy.deepcopy(snap)
-    out["train_progress"] = {k: v for k, v in out.get("train_progress", {}).items() if v != 0}
-    return out
-
-
-class _Replayer:
-    def __init__(self, header: dict[str, Any]):
-        self.config = GameConfig(**header["config"])
-        self.agents: dict[int, dict[str, Any]] = {
-            snap["id"]: copy.deepcopy(snap) for snap in header["agents"]
-        }
-        self.nodes: list[dict[str, Any]] = [copy.deepcopy(s) for s in header["nodes"]]
-        self.turn = 0
-
-    def apply_delta(self, ops: list[Any], where: str) -> None:
-        for op in ops:
-            self.apply_op(op, where)
-        self.check_occupancy(where)
-
-    def apply_op(self, op: list[Any], where: str) -> None:
-        tag = op[0]
-        if tag == "spawn":
-            snap = op[1]
-            if snap["id"] in self.agents:
-                raise ReplayError(f"{where}: spawn of existing agent {snap['id']}")
-            self.agents[snap["id"]] = copy.deepcopy(snap)
-            return
-        if tag == "agent":
-            _, agent_id, fieldname, before, after = op
-            agent = self.agents.get(agent_id)
-            if agent is None:
-                raise ReplayError(f"{where}: unknown agent {agent_id}")
-            if fieldname.startswith("attr:"):
-                holder, key = agent["attrs"], fieldname[5:]
-                current = holder.get(key)
-            elif fieldname.startswith("train:"):
-                holder, key = agent["train_progress"], fieldname[6:]
-                current = holder.get(key, 0)
-            else:
-                holder, key = agent, fieldname
-                current = holder.get(key)
-            if current != before:
-                raise ReplayError(
-                    f"{where}: agent {agent_id} {fieldname} is {current!r}, "
-                    f"delta expected {before!r}")
-            holder[key] = after
-            return
-        if tag == "node":
-            _, index, fieldname, before, after = op
-            if fieldname != "stock" or not 0 <= index < len(self.nodes):
-                raise ReplayError(f"{where}: bad node op {op!r}")
-            current = self.nodes[index]["stock"]
-            if current != before:
-                raise ReplayError(
-                    f"{where}: node {index} stock is {current}, delta expected {before}")
-            self.nodes[index]["stock"] = after
-            return
-        raise ReplayError(f"{where}: unknown delta op {op!r}")
-
-    def check_occupancy(self, where: str) -> None:
-        counts: dict[tuple[int, int], int] = {}
-        for agent in self.agents.values():
-            if agent["alive"]:
-                key = tuple(agent["pos"])
-                counts[key] = counts.get(key, 0) + 1
-        for pos, count in counts.items():
-            if count > self.config.cell_capacity:
-                raise ReplayError(f"{where}: cell {pos} holds {count} alive agents, "
-                                  f"capacity {self.config.cell_capacity}")
-
-
 @dataclass
 class ReplayResult:
     turns: int
@@ -288,62 +218,105 @@ class ReplayResult:
     reason: str
 
 
+def _shown(record: dict[str, Any], key: str) -> str:
+    text = json.dumps(record[key]) if key in record else "absent"
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
+class _Script:
+    """The logged side of a replay: it serves the engine the decisions a log
+    records, and checks each record the rules produce against the log."""
+
+    def __init__(self, events: list[dict[str, Any]]):
+        self.events = events
+        self.at = 0                           # index of the record being read or checked
+        self.proposals: dict[int, int] = {}   # proposer id -> index of its action record
+
+    def where(self, index: int | None = None) -> str:
+        index = self.at if index is None else index
+        return f"line {index + 1} ({self.events[index]['type']})"
+
+    def check(self, produced: dict[str, Any]) -> None:
+        logged = self.events[self.at]
+        if logged != produced:
+            key = next(k for k in [*produced, *logged] if k not in logged
+                       or k not in produced or logged[k] != produced[k])
+            raise ReplayError(f"{self.where()}: {key} is {_shown(logged, key)} in the log, "
+                              f"{_shown(produced, key)} on re-execution")
+        self.at += 1
+
+    def plans(self, actors: list[int]) -> dict[int, Any]:
+        """This turn's plans, read from the policy_fault and action records
+        that follow its upkeep record: the action text, the fallback flag and
+        any fault text. A fault always comes with REST."""
+        start, plans = self.at, {}
+        self.proposals = {}
+        while self.events[self.at]["type"] in ("policy_fault", "action"):
+            record = self.events[self.at]
+            agent_id = record["agent_id"]
+            if record["type"] == "policy_fault":
+                if not isinstance(record["error"], str):
+                    raise ReplayError(f"{self.where()}: error is not a string")
+                plans[agent_id] = (REST, True, record["error"])
+            elif agent_id not in plans:
+                if not isinstance(record["fallback"], bool):
+                    raise ReplayError(f"{self.where()}: fallback is not true or false")
+                plans[agent_id] = (parse_action(record["action"]), record["fallback"], None)
+                self.proposals[agent_id] = self.at
+            self.at += 1
+        self.at = start
+        for agent_id in actors:
+            # a placeholder for a missing action record; its record cannot match
+            plans.setdefault(agent_id, (REST, False, None))
+        return plans
+
+    def evaluate_proposal(self, chooser: AgentState, view: Any) -> bool:
+        """A chooser's verdict is the proposer's logged REPRODUCE outcome."""
+        index = self.proposals[view.provider_id]
+        outcome = self.events[index]["outcome"]
+        if outcome not in ("accepted", "rejected"):
+            raise ReplayError(f"{self.where(index)}: the rules have agent {chooser.id} "
+                              f"evaluate this proposal, but the outcome is {outcome!r}")
+        return outcome == "accepted"
+
+
 def replay(log: GameLog) -> ReplayResult:
-    """Fold every delta over the header snapshots, verifying before-values,
-    occupancy, and the final snapshots. Raises ReplayError on divergence,
-    and on a record too malformed to fold (a missing key, a short delta op),
-    naming its line."""
+    """Verify a log by re-executing the game it records.
+
+    The header's config is rebuilt with ``new_game`` and every turn is played
+    by the engine's rules (``engine.play_turn``) with the logged decisions.
+    Each record produced must equal the logged one (as decoded JSON values);
+    ReplayError names the first line that differs or is too malformed to use.
+    """
+    from . import engine  # engine imports this module
+
     events = log.events
     if not events or events[0]["type"] != "header":
         raise ReplayError("log does not start with a header record")
     if events[-1]["type"] != "end":
         raise ReplayError("log does not finish with an end record")
-    where = "line 1 (header)"
+    script = _Script(events)
     try:
-        rep = _Replayer(events[0])
-        for i, event in enumerate(events[1:-1], start=2):
-            where = f"line {i} ({event['type']})"
-            etype = event["type"]
-            if etype in ("header", "end"):
-                raise ReplayError(f"{where}: unexpected {etype} record mid-log")
-            if etype in ("upkeep", "action", "regen", "turn_end"):
-                rep.apply_delta(event["delta"], where)
-            if etype == "turn_end":
-                if event["turn"] != rep.turn:
-                    raise ReplayError(f"{where}: turn {event['turn']}, replay at {rep.turn}")
-                rep.turn += 1
-            for agent_id in event.get("deaths", []):
-                if rep.agents[agent_id]["alive"]:
-                    raise ReplayError(f"{where}: agent {agent_id} listed dead but alive in replay")
-        where = f"line {len(events)} (end)"
-        return _check_end(rep, events[-1], len(events))
+        # the header's own snapshots bound the set-up work by the size of the log
+        header, config = events[0], events[0]["config"]
+        if (len(header["agents"]) != config["n_agents"]
+                or len(header["nodes"]) != config["n_food_nodes"] + config["n_token_nodes"]):
+            raise ReplayError(f"{script.where()}: snapshot counts differ from the config")
+        state = new_game(GameConfig(**config))
+        script.check(header_event(state))
+        while (term := engine.check_termination(state)).running:
+            for record in engine.play_turn(state, script, script.plans):
+                script.check(record)
+        script.check(end_event(state, term.reason or "max_turns"))
     except ReplayError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise ReplayError(f"{where}: malformed record ({type(exc).__name__}: {exc})") from exc
-
-
-def _check_end(rep: _Replayer, end: dict[str, Any], n_events: int) -> ReplayResult:
-    if end["turn"] != rep.turn:
-        raise ReplayError(f"end record turn {end['turn']}, replay reached {rep.turn}")
-    for snap in end["agents"]:
-        got = _snapshot_to_comparable(rep.agents.get(snap["id"], {}))
-        want = _snapshot_to_comparable(snap)
-        if got != want:
-            raise ReplayError(f"final agent {snap['id']} mismatch:\n  replay {got}\n  log    {want}")
-    if len(rep.agents) != len(end["agents"]):
-        raise ReplayError("replay and end record disagree on roster size")
-    if len(rep.nodes) != len(end["nodes"]):
-        raise ReplayError("replay and end record disagree on node count")
-    for index, snap in enumerate(end["nodes"]):
-        if rep.nodes[index] != snap:
-            raise ReplayError(f"final node {index} mismatch: replay {rep.nodes[index]}, log {snap}")
-    alive_ids = [agent_id for agent_id, agent in rep.agents.items() if agent["alive"]]
-    if alive_ids != end["alive_ids"] or len(alive_ids) != end["survivors"]:
-        raise ReplayError(f"end record says {end['survivors']} survivors {end['alive_ids']}, "
-                          f"replay has {len(alive_ids)} {alive_ids}")
-    return ReplayResult(turns=rep.turn, events=n_events, survivors=len(alive_ids),
-                        reason=end["reason"])
+        raise ReplayError(f"{script.where()}: malformed record "
+                          f"({type(exc).__name__}: {exc})") from exc
+    if script.at != len(events):
+        raise ReplayError(f"{script.where()}: record after the end of the game")
+    return ReplayResult(turns=state.turn, events=len(events),
+                        survivors=len(state.alive_agents()), reason=term.reason or "max_turns")
 
 
 # --------------------------------------------------------------------------

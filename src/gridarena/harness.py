@@ -25,7 +25,6 @@ from .core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION, new_game
 from .engine import run_game
 from .gamelog import GameLog
 from .gateway import GatewayConfig
-from .mating import MatingConfig
 from .metrics import (
     ACTION_TYPES,
     MetricsSummary,
@@ -277,7 +276,6 @@ def run_experiment(preset: "str | Preset | GameConfig",
                    out_dir: "str | Path | None" = None,
                    ack_overrides: bool = False,
                    gateway: GatewayConfig | None = None,
-                   mating: MatingConfig | None = None,
                    echo: Callable[[str], None] | None = None) -> ExperimentRecord:
     """Run one game to termination and persist its artifacts.
 
@@ -308,7 +306,7 @@ def run_experiment(preset: "str | Preset | GameConfig",
     exp_id = experiment_id_for(config)
     started = time.perf_counter()
     state = new_game(config)
-    log = run_game(state, policy_map, mating)
+    log = run_game(state, policy_map)
     wall = time.perf_counter() - started
     summary = summarize(log)
     digest = log.sha256()
@@ -363,7 +361,6 @@ def sweep(preset: "str | Preset | GameConfig",
           out_dir: "str | Path | None" = None,
           parallel: int = 1,
           gateway: GatewayConfig | None = None,
-          mating: MatingConfig | None = None,
           echo: Callable[[str], None] | None = None) -> list[ExperimentRecord]:
     """Run one experiment per value of one config parameter.
 
@@ -391,7 +388,7 @@ def sweep(preset: "str | Preset | GameConfig",
     def one(value: Any) -> ExperimentRecord:
         return run_experiment(chosen, {parameter: value}, seed=seed,
                               policies=policies, out_dir=out_dir,
-                              ack_overrides=True, gateway=gateway, mating=mating)
+                              ack_overrides=True, gateway=gateway)
 
     records: list[ExperimentRecord] = []
     failures: list[tuple[Any, str]] = []
