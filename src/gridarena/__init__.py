@@ -21,7 +21,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .mating import MatingConfig, ProposalView, ReproductionEvent
+from .mating import ProposalView, ReproductionEvent
 from .metrics import MetricsError, MetricsSummary, normalized_entropy, summarize
 from .policy import LLMPolicy, Policy, PolicyDecision, PolicyMap, SCRIPTED_POLICIES
 
@@ -42,7 +42,6 @@ __all__ = [
     "GatewayError",
     "LLMPolicy",
     "LogError",
-    "MatingConfig",
     "MetricsError",
     "MetricsSummary",
     "Observation",

@@ -126,14 +126,6 @@ REST = Rest()
 GATHER = Gather()
 
 
-def kind(action: Action) -> str:
-    """Grammar keyword for an action, e.g. ``MOVE`` for ``Move(("N",))``."""
-    return {
-        Gather: "GATHER", Move: "MOVE", Attack: "ATTACK", Trade: "TRADE",
-        Rest: "REST", Train: "TRAIN", Communicate: "COMMUNICATE", Reproduce: "REPRODUCE",
-    }[type(action)]
-
-
 def render(action: Action) -> str:
     """Canonical single-line text for an action. ``parse_action(render(a)) == a``."""
     if isinstance(action, Gather):

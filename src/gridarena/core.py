@@ -109,6 +109,15 @@ class GameConfig:
 
     def problems(self) -> list[str]:
         out = []
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            if name == "engine_variant":
+                if not isinstance(value, str):
+                    out.append(f"engine_variant must be a string, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, int):
+                out.append(f"{name} must be an integer, got {value!r}")
+        if out:
+            return out  # the checks below need values of the right types
         for name in ("grid_width", "grid_height", "cell_capacity", "llm_concurrency"):
             if getattr(self, name) < 1:
                 out.append(f"{name} must be >= 1")

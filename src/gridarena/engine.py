@@ -68,10 +68,6 @@ OUTCOME_ACCEPTED = "accepted"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_CANCELLED_DEAD = "cancelled_dead"
 
-# Default mating costs only: the log header does not record them for replay.
-MATING = _mating.MatingConfig()
-
-
 # --------------------------------------------------------------------------
 # Observations
 
@@ -305,8 +301,7 @@ def _resolve_train(agent: AgentState, action: Train, delta: Delta) -> str:
 
 
 def resolve_action(state: GameState, agent: AgentState, action: Action, delta: Delta,
-                   policies: Any, mating_cfg: "_mating.MatingConfig",
-                   births: list[int]) -> str:
+                   policies: Any, births: list[int]) -> str:
     """Resolve one queued action against live state. Returns the outcome tag."""
     if isinstance(action, Gather):
         return _resolve_gather(state, agent, delta)
@@ -324,25 +319,14 @@ def resolve_action(state: GameState, agent: AgentState, action: Action, delta: D
         if state.config.engine_variant != VARIANT_SEXUAL_SELECTION:
             return "failed_unavailable"
         if isinstance(action, Communicate):
-            return _mating.resolve_communicate(state, agent, action, delta, mating_cfg)
-        outcome, _ = _mating.resolve_reproduce(state, agent, action, delta, mating_cfg,
-                                               policies, births)
+            return _mating.resolve_communicate(state, agent, action, delta)
+        outcome, _ = _mating.resolve_reproduce(state, agent, action, delta, policies, births)
         return outcome
     raise TypeError(f"not an action: {action!r}")
 
 
 # --------------------------------------------------------------------------
 # The turn
-
-
-@dataclass
-class TurnLog:
-    """Everything that happened in one turn, as ready-to-serialize events."""
-
-    turn: int
-    events: list[dict[str, Any]]
-    deaths: list[int]
-    births: list[int]
 
 
 # A decided action: (action, fallback flag, policy fault text or None).
@@ -383,7 +367,7 @@ def play_turn(state: GameState, policies: Any,
                    "outcome": OUTCOME_CANCELLED_DEAD, "fallback": fallback, "delta": []}
             continue
         delta = Delta(state)
-        outcome = resolve_action(state, agent, action, delta, policies, MATING, births)
+        outcome = resolve_action(state, agent, action, delta, policies, births)
         touched = sorted({op[1] for op in delta.ops if op[0] == "agent"})  # roster order
         deaths.extend(sweep_deaths(state, delta, [state.agents[i] for i in touched]))
         yield {"type": "action", "turn": turn, "agent_id": aid, "action": text,
@@ -414,18 +398,16 @@ def _plan(decision: Any) -> Plan:
     return decision.action, getattr(decision, "parse_status", "ok") != "ok", None
 
 
-def step(state: GameState, policies: Any) -> tuple[GameState, TurnLog]:
-    """Advance the game one full turn, mutating ``state`` in place."""
+def step(state: GameState, policies: Any) -> list[dict[str, Any]]:
+    """Advance the game one full turn, mutating ``state`` in place, and
+    return the turn's records."""
 
     def decide(actors: list[int]) -> dict[int, Plan]:
         observations = {aid: observe(state, aid) for aid in actors}
         decisions = policies.decide_all(observations) if actors else {}
         return {aid: _plan(decisions.get(aid)) for aid in actors}
 
-    events = list(play_turn(state, policies, decide))
-    end = events[-1]
-    return state, TurnLog(turn=end["turn"], events=events, deaths=end["deaths"],
-                          births=end["births"])
+    return list(play_turn(state, policies, decide))
 
 
 def run_game(state: GameState, policies: Any) -> GameLog:
@@ -436,7 +418,6 @@ def run_game(state: GameState, policies: Any) -> GameLog:
         term = check_termination(state)
         if not term.running:
             break
-        _, turn_log = step(state, policies)
-        log.extend(turn_log.events)
+        log.extend(step(state, policies))
     log.append(end_event(state, term.reason or "max_turns"))
     return log

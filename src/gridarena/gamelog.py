@@ -172,10 +172,13 @@ class GameLog:
     def to_text(self) -> str:
         return "".join(line + "\n" for line in self.lines())
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
+    def write(self, path) -> str:
+        """Write the log to ``path`` and return the sha256 of the bytes
+        written, so a recorded hash is the file's hash by construction."""
+        data = self.to_text().encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return hashlib.sha256(data).hexdigest()
 
     def sha256(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()

@@ -25,12 +25,7 @@ from .core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION, new_game
 from .engine import run_game
 from .gamelog import GameLog
 from .gateway import GatewayConfig
-from .metrics import (
-    ACTION_TYPES,
-    MetricsSummary,
-    per_turn_entropy,
-    summarize,
-)
+from .metrics import ACTION_TYPES, MetricsSummary, summarize
 from .policy import LLMPolicy, PolicyMap, SCRIPTED_POLICIES, make_scripted
 
 
@@ -309,14 +304,15 @@ def run_experiment(preset: "str | Preset | GameConfig",
     log = run_game(state, policy_map)
     wall = time.perf_counter() - started
     summary = summarize(log)
-    digest = log.sha256()
 
     exp_dir: Path | None = None
     log_path: Path | None = None
-    if out_dir is not None:
+    if out_dir is None:
+        digest = log.sha256()
+    else:
         exp_dir = _make_experiment_dir(Path(out_dir), chosen.name, exp_id)
         log_path = exp_dir / "game.log"
-        log.write(log_path)
+        digest = log.write(log_path)
         config.write(exp_dir / "config.txt")
         row = summary_row(exp_id, config, summary)
         write_summary_csv([row], exp_dir / "summary.csv")
@@ -366,7 +362,7 @@ def sweep(preset: "str | Preset | GameConfig",
 
     Runs are independent; failures are recorded and do not stop the sweep.
     With an output directory, the combined report tables are written there
-    via ``analyze``.
+    from the runs' summaries; no log is read back.
     """
     chosen = resolve_preset(preset)
     if parameter is None:
@@ -413,7 +409,7 @@ def sweep(preset: "str | Preset | GameConfig",
     if out_dir is not None:
         root = Path(out_dir)
         if records:
-            analyze([r.log_path for r in records], root)
+            _write_report([(r.experiment_id, r.config, r.summary) for r in records], root)
         if failures:
             lines = ["# Failed sweep runs", ""]
             lines += [f"- {parameter}={value}: {message}" for value, message in failures]
@@ -510,47 +506,56 @@ def analyze(log_paths: Sequence["str | Path"], out_dir: "str | Path") -> Analysi
 
     Outputs: summary CSV/markdown (one row per log), an action-distribution
     table, the pressure curve CSV (upkeep, trades, duration), and a per-turn
-    entropy CSV per log.
+    entropy CSV per log. Logs are read and summarized one at a time.
     """
+    return _write_report([_summarize_file(path) for path in log_paths], out_dir)
+
+
+def _summarize_file(path: "str | Path") -> tuple[str, GameConfig, MetricsSummary]:
+    log = GameLog.read(path)
+    config = log.config()
+    return experiment_id_for(config), config, summarize(log)
+
+
+def _write_report(games: Sequence[tuple[str, GameConfig, MetricsSummary]],
+                  out_dir: "str | Path") -> AnalysisReport:
+    """Write the report bundle for per-game (label, config, summary) rows; a
+    repeated label gets a ``-2``, ``-3``, ... suffix."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    labeled: list[tuple[str, GameConfig, GameLog, MetricsSummary]] = []
+    labeled: list[tuple[str, GameConfig, MetricsSummary]] = []
     seen: dict[str, int] = {}
-    for path in log_paths:
-        log = GameLog.read(path)
-        config = log.config()
-        label = experiment_id_for(config)
+    for label, config, summary in games:
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:
             label = f"{label}-{seen[label]}"
-        labeled.append((label, config, log, summarize(log)))
+        labeled.append((label, config, summary))
 
-    rows = [summary_row(label, config, summary)
-            for label, config, _, summary in labeled]
+    rows = [summary_row(label, config, summary) for label, config, summary in labeled]
     summary_csv = out / "summary.csv"
     summary_md = out / "summary.md"
     write_summary_csv(rows, summary_csv)
     write_summary_md(rows, summary_md)
 
     distribution_csv = out / "action_distribution.csv"
-    write_distribution_csv([(label, summary) for label, _, _, summary in labeled],
+    write_distribution_csv([(label, summary) for label, _, summary in labeled],
                            distribution_csv)
 
     curve_csv = out / "curve.csv"
     with open(curve_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["upkeep", "trades", "duration"])
-        for _, config, _, summary in labeled:
+        for _, config, summary in labeled:
             writer.writerow([config.upkeep, summary.trades_completed, summary.duration])
 
     perturn_csvs = []
-    for label, _, log, _ in labeled:
+    for label, _, summary in labeled:
         path = out / f"perturn_{label}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["turn", "entropy", "alive"])
-            for turn, entropy, alive in per_turn_entropy(log):
+            for turn, entropy, alive in summary.per_turn:
                 writer.writerow([turn, f"{entropy:.4f}", alive])
         perturn_csvs.append(path)
 

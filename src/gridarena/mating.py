@@ -2,7 +2,7 @@
 (COMMUNICATE), and reproduction with asymmetric parental investment.
 
 Providers propose (cheap: 6 food + 3 tokens); choosers evaluate (expensive:
-12 food + 5 tokens, paid even on rejection by default). An accepted proposal
+12 food + 5 tokens, paid even on rejection). An accepted proposal
 creates an offspring whose attributes are the parental means plus Gaussian
 mutation, clipped to [1, 10]. The offspring first acts on the following turn.
 """
@@ -28,34 +28,15 @@ from .core import (
 from .gamelog import Delta
 
 
-@dataclass(frozen=True)
-class MatingConfig:
-    """Costs and windows for the sexual-selection variant.
-
-    ``chooser_pays_on_reject`` keeps the evaluation fee charged on rejected
-    proposals (the default); turning it off charges choosers only when they
-    accept.
-    """
-
-    provider_food_cost: int = 6
-    provider_token_cost: int = 3
-    chooser_food_cost: int = 12
-    chooser_token_cost: int = 5
-    chooser_pays_on_reject: bool = True
-    communicate_token_cost: int = 2
-    reveal_duration: int = 3
-    mutation_sigma: float = 1.0
-
-    def __post_init__(self):
-        costs = (self.provider_food_cost, self.provider_token_cost,
-                 self.chooser_food_cost, self.chooser_token_cost,
-                 self.communicate_token_cost)
-        if any(c < 0 for c in costs):
-            raise ValueError("costs must be >= 0")
-        if self.mutation_sigma <= 0:
-            raise ValueError("mutation_sigma must be > 0")
-        if self.reveal_duration < 0:
-            raise ValueError("reveal_duration must be >= 0")
+# Costs and windows of the sexual-selection variant. They are constants
+# because the log header does not record them, so replay plays these.
+PROVIDER_FOOD_COST = 6
+PROVIDER_TOKEN_COST = 3
+CHOOSER_FOOD_COST = 12
+CHOOSER_TOKEN_COST = 5
+COMMUNICATE_TOKEN_COST = 2
+REVEAL_DURATION = 3
+MUTATION_SIGMA = 1.0
 
 
 @dataclass(frozen=True)
@@ -114,13 +95,13 @@ def vitality_endowment(vitality: int) -> tuple[int, int]:
 
 
 def resolve_communicate(state: GameState, agent: AgentState, action: Communicate,
-                        delta: Delta, cfg: MatingConfig) -> str:
+                        delta: Delta) -> str:
     """Costly signal: 2 tokens buys a 3-turn full-stats reveal, and the
     message lands in next turn's observations of agents within SOC_sender."""
-    if agent.tokens < cfg.communicate_token_cost:
+    if agent.tokens < COMMUNICATE_TOKEN_COST:
         return "failed_no_tokens"
-    delta.set_agent(agent, "tokens", agent.tokens - cfg.communicate_token_cost)
-    delta.set_agent(agent, "revealed_until", state.turn + cfg.reveal_duration)
+    delta.set_agent(agent, "tokens", agent.tokens - COMMUNICATE_TOKEN_COST)
+    delta.set_agent(agent, "revealed_until", state.turn + REVEAL_DURATION)
     reach = agent.attrs.SOC
     for other in state.alive_agents():
         if other.id != agent.id and chebyshev(agent.pos, other.pos) <= reach:
@@ -129,18 +110,17 @@ def resolve_communicate(state: GameState, agent: AgentState, action: Communicate
 
 
 def make_offspring(parent_a: AgentState, parent_b: AgentState, rng: random.Random,
-                   *, agent_id: int, cfg: MatingConfig | None = None) -> AgentState:
+                   *, agent_id: int) -> AgentState:
     """Blend two parents into a new agent at their cell.
 
     Each attribute is the parental mean plus N(0, sigma), rounded half-up and
     clipped to [1, 10]; vitality is the rounded mean; the role is a fair coin.
     Draw order: six Gaussians in attribute order, then the role.
     """
-    cfg = cfg or MatingConfig()
     values = {}
     for name in ATTRIBUTE_NAMES:
         mean = (parent_a.attrs.get(name) + parent_b.attrs.get(name)) / 2
-        values[name] = clip(round_half_up(mean + rng.gauss(0.0, cfg.mutation_sigma)), 1, 10)
+        values[name] = clip(round_half_up(mean + rng.gauss(0.0, MUTATION_SIGMA)), 1, 10)
     vitality = clip(round_half_up((parent_a.vitality + parent_b.vitality) / 2), 1, 10)
     role = rng.choice((ROLE_PROVIDER, ROLE_CHOOSER))
     food, tokens = vitality_endowment(vitality)
@@ -156,7 +136,7 @@ def make_offspring(parent_a: AgentState, parent_b: AgentState, rng: random.Rando
 
 
 def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
-                      delta: Delta, cfg: MatingConfig, policies: Any,
+                      delta: Delta, policies: Any,
                       births: list[int]) -> tuple[str, ReproductionEvent | None]:
     """Resolve one REPRODUCE proposal.
 
@@ -164,7 +144,7 @@ def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
     anything is charged, equivalent to charge-then-refund), provider
     solvency. The provider then pays; an insolvent chooser auto-rejects with
     the provider's cost already spent. Otherwise the chooser's policy
-    evaluates a ProposalView and pays its fee per ``chooser_pays_on_reject``.
+    evaluates a ProposalView and pays its fee whether it accepts or not.
     """
     if provider.role != ROLE_PROVIDER:
         return "failed_role", None
@@ -177,13 +157,13 @@ def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
         return "failed_bad_target", None
     if state.occupancy(provider.pos) >= state.config.cell_capacity:
         return "failed_cell_full", None
-    if provider.food < cfg.provider_food_cost or provider.tokens < cfg.provider_token_cost:
+    if provider.food < PROVIDER_FOOD_COST or provider.tokens < PROVIDER_TOKEN_COST:
         return "failed_insolvent", None
 
-    delta.set_agent(provider, "food", provider.food - cfg.provider_food_cost)
-    delta.set_agent(provider, "tokens", provider.tokens - cfg.provider_token_cost)
+    delta.set_agent(provider, "food", provider.food - PROVIDER_FOOD_COST)
+    delta.set_agent(provider, "tokens", provider.tokens - PROVIDER_TOKEN_COST)
 
-    if chooser.food < cfg.chooser_food_cost or chooser.tokens < cfg.chooser_token_cost:
+    if chooser.food < CHOOSER_FOOD_COST or chooser.tokens < CHOOSER_TOKEN_COST:
         event = ReproductionEvent(provider.id, chooser.id, accepted=False,
                                   offspring_id=None, turn=state.turn)
         return "chooser_insolvent", event
@@ -198,15 +178,13 @@ def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
         chooser_food=chooser.food,
         chooser_tokens=chooser.tokens,
         chooser_vitality=chooser.vitality,
-        food_cost=cfg.chooser_food_cost,
-        token_cost=cfg.chooser_token_cost,
+        food_cost=CHOOSER_FOOD_COST,
+        token_cost=CHOOSER_TOKEN_COST,
         turn=state.turn,
     )
     accepted = bool(policies.evaluate_proposal(chooser, view))
-
-    if accepted or cfg.chooser_pays_on_reject:
-        delta.set_agent(chooser, "food", chooser.food - cfg.chooser_food_cost)
-        delta.set_agent(chooser, "tokens", chooser.tokens - cfg.chooser_token_cost)
+    delta.set_agent(chooser, "food", chooser.food - CHOOSER_FOOD_COST)
+    delta.set_agent(chooser, "tokens", chooser.tokens - CHOOSER_TOKEN_COST)
 
     if not accepted:
         event = ReproductionEvent(provider.id, chooser.id, accepted=False,
@@ -214,7 +192,7 @@ def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
         return "rejected", event
 
     child = make_offspring(provider, chooser, state.rng,
-                           agent_id=state.next_agent_id, cfg=cfg)
+                           agent_id=state.next_agent_id)
     state.next_agent_id += 1
     delta.spawn(child)
     births.append(child.id)

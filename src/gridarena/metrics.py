@@ -102,7 +102,8 @@ class MetricsSummary:
     """Whole-game metrics in reporting order.
 
     ``action_distribution`` holds full-precision percentages over the types
-    that occurred; table writers round for display.
+    that occurred; table writers round for display. ``per_turn`` is the
+    game's ``per_turn_entropy`` series.
     """
 
     trades_completed: int
@@ -115,6 +116,7 @@ class MetricsSummary:
     action_distribution: dict[str, float]
     action_counts: dict[str, int]
     births: int
+    per_turn: list[tuple[int, float, int]]
 
 
 def summarize(log: GameLog) -> MetricsSummary:
@@ -153,4 +155,5 @@ def summarize(log: GameLog) -> MetricsSummary:
         action_distribution=distribution,
         action_counts=counts,
         births=births,
+        per_turn=per_turn_entropy(log),
     )

@@ -15,7 +15,6 @@ from gridarena.actions import (
     Rest,
     Trade,
     Train,
-    kind,
     parse_action,
     render,
 )
@@ -44,12 +43,6 @@ def test_render_matches_canonical_form(action, text):
 @pytest.mark.parametrize("action,text", CANONICAL)
 def test_parse_of_render_round_trips(action, text):
     assert parse_action(text) == action
-
-
-def test_kind_names():
-    assert kind(GATHER) == "GATHER"
-    assert kind(Trade(target_id=1, offer_food=1, offer_tokens=0,
-                      request_food=0, request_tokens=1)) == "TRADE"
 
 
 # --------------------------------------------------------------------------

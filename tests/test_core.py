@@ -81,6 +81,14 @@ def test_config_collects_all_problems():
     assert excinfo.value.problems == problems
 
 
+@pytest.mark.parametrize("name,value", [
+    ("upkeep", 2.0), ("n_agents", True), ("seed", "42"), ("engine_variant", 1),
+])
+def test_config_rejects_fields_of_the_wrong_type(name, value):
+    with pytest.raises(ConfigError, match=rf"{name} must be"):
+        GameConfig(**{name: value}).validate()
+
+
 def test_config_capacity_limits():
     assert any("node count" in p for p in
                GameConfig(grid_width=2, grid_height=2, n_food_nodes=4,

@@ -27,7 +27,6 @@ from gridarena.engine import (
     trade_accept_probability,
 )
 from gridarena.gamelog import Delta
-from gridarena.mating import MatingConfig
 from gridarena.policy import Policy, PolicyDecision, PolicyMap, make_scripted
 
 from conftest import (
@@ -40,10 +39,9 @@ from conftest import (
 )
 
 
-def resolve(state, agent, action, policies=None, mating=None, births=None):
+def resolve(state, agent, action, policies=None, births=None):
     delta = Delta(state)
-    outcome = resolve_action(state, agent, action, delta,
-                             policies, mating or MatingConfig(),
+    outcome = resolve_action(state, agent, action, delta, policies,
                              births if births is not None else [])
     return outcome, delta.ops
 
@@ -314,8 +312,8 @@ def test_mating_actions_unavailable_in_survival():
 def test_step_event_order_and_counter():
     config = small_config(n_agents=2)
     state = new_game(config)
-    state, turn_log = step(state, plan_map({}))
-    types = [event["type"] for event in turn_log.events]
+    records = step(state, plan_map({}))
+    types = [event["type"] for event in records]
     assert types[0] == "upkeep"
     assert types[-2] == "regen"
     assert types[-1] == "turn_end"
@@ -334,23 +332,23 @@ def test_dead_actor_action_is_cancelled():
     state.rng.shuffle(order)
     assert order == [0, 1], "fixture seed must schedule the attacker first"
     state = make_state([a, b], config=cfg, seed=0)
-    state, turn_log = step(state, plan_map({0: Attack(target_id=1), 1: GATHER}))
-    actions = [e for e in turn_log.events if e["type"] == "action"]
+    records = step(state, plan_map({0: Attack(target_id=1), 1: GATHER}))
+    actions = [e for e in records if e["type"] == "action"]
     by_agent = {e["agent_id"]: e for e in actions}
     assert by_agent[0]["outcome"] == "ok"
     assert by_agent[1]["outcome"] == "cancelled_dead"
     assert by_agent[1]["delta"] == []
-    assert turn_log.deaths == [1]
+    assert records[-1]["deaths"] == [1]
 
 
 def test_policy_exception_becomes_rest_with_fault_event():
     config = small_config(n_agents=2, upkeep=0)
     state = new_game(config)
-    state, turn_log = step(state, plan_map({0: RuntimeError("boom")}))
-    faults = [e for e in turn_log.events if e["type"] == "policy_fault"]
+    records = step(state, plan_map({0: RuntimeError("boom")}))
+    faults = [e for e in records if e["type"] == "policy_fault"]
     assert len(faults) == 1 and faults[0]["agent_id"] == 0
     assert "boom" in faults[0]["error"]
-    action = next(e for e in turn_log.events
+    action = next(e for e in records
                   if e["type"] == "action" and e["agent_id"] == 0)
     assert action["action"] == "REST"
 
@@ -363,8 +361,8 @@ def test_fallback_flag_is_logged():
 
     config = small_config(n_agents=1, upkeep=0)
     state = new_game(config)
-    state, turn_log = step(state, PolicyMap(lambda agent: Fallback()))
-    action = next(e for e in turn_log.events if e["type"] == "action")
+    records = step(state, PolicyMap(lambda agent: Fallback()))
+    action = next(e for e in records if e["type"] == "action")
     assert action["fallback"] is True
 
 

@@ -320,6 +320,13 @@ def test_replay_rejects_header_upkeep_edit():
         replay(log_of(records))
 
 
+def test_replay_rejects_a_header_number_of_another_type():
+    records = records_of(scripted_log())
+    records[0]["config"]["upkeep"] = float(records[0]["config"]["upkeep"])
+    with pytest.raises(ReplayError, match=r"line 1 \(header\): .*upkeep must be an integer"):
+        replay(log_of(records))
+
+
 def test_replay_rejects_header_that_new_game_does_not_build():
     records = records_of(scripted_log())
     records[0]["agents"][0]["food"] += 1

@@ -1,12 +1,16 @@
 """Presets, policy assignment parsing, run artifacts, sweeps, reports, CLI."""
 
 import csv
+import hashlib
 import json
+import weakref
 
 import pytest
 
+from gridarena import gamelog, harness, metrics
 from gridarena.cli import main
 from gridarena.core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION
+from gridarena.gamelog import GameLog
 from gridarena.harness import (
     PRESETS,
     analyze,
@@ -286,11 +290,77 @@ def test_analyze_disambiguates_duplicate_logs(tmp_path):
     assert len(set(names)) == 2
 
 
+def test_analyze_holds_one_parsed_log_at_a_time(tmp_path, monkeypatch):
+    logs = sweep_logs(tmp_path, values=(1, 2, 3))
+    parsed = []
+    read = GameLog.read.__func__
+
+    def tracked_read(cls, path):
+        assert all(ref() is None for ref in parsed), "an earlier log is still held"
+        log = read(cls, path)
+        parsed.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(GameLog, "read", classmethod(tracked_read))
+    analyze(logs, tmp_path / "report")
+    assert len(parsed) == 3
+
+
 def test_summary_row_formatting():
     record = run_experiment(small_config(max_turns=3), policies="scripted:rest")
     row = summary_row("x", record.config, record.summary)
     assert row["entropy"].count(".") == 1 and len(row["entropy"].split(".")[1]) == 3
     assert len(row["social_pct"].split(".")[1]) == 1
+
+
+# --------------------------------------------------------------------------
+# One encoding per log, one report writer
+
+
+def refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+    return refused
+
+
+def test_run_experiment_encodes_each_record_once(tmp_path, monkeypatch):
+    encoded = []
+    dumps = gamelog._dumps
+    monkeypatch.setattr(gamelog, "_dumps", lambda event: encoded.append(1) or dumps(event))
+    record = run_small(out_dir=tmp_path)
+    assert len(encoded) == len(GameLog.read(record.log_path))
+
+
+def test_record_hash_is_the_hash_of_the_written_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(GameLog, "sha256", refuse("GameLog.sha256"))
+    record = run_small(out_dir=tmp_path)
+    digest = hashlib.sha256(record.log_path.read_bytes()).hexdigest()
+    stored = json.loads((record.out_dir / "record.json").read_text())
+    assert stored["log_sha256"] == record.log_sha256 == digest
+
+
+def test_sweep_reads_back_and_resummarizes_no_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(GameLog, "read", refuse("GameLog.read"))
+    summarized = []
+    monkeypatch.setattr(harness, "summarize",
+                        lambda log: summarized.append(1) or metrics.summarize(log))
+    records = sweep(small_config(max_turns=4, n_agents=4), "upkeep", [1, 3],
+                    policies="scripted:greedy", out_dir=tmp_path)
+    assert len(records) == len(summarized) == 2
+    assert len(list(tmp_path.glob("perturn_*.csv"))) == 2
+
+
+def test_sweep_reports_equal_analyze_of_its_logs(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "analyze", refuse("analyze"))
+    records = sweep(small_config(max_turns=4, n_agents=4), "upkeep", [1, 3, 1],
+                    policies="scripted:greedy", out_dir=tmp_path / "sweep")
+    analyze([r.log_path for r in records], tmp_path / "analyze")
+    names = sorted(path.name for path in (tmp_path / "analyze").iterdir())
+    assert f"perturn_{records[0].experiment_id}-2.csv" in names
+    assert {"summary.csv", "summary.md", "action_distribution.csv", "curve.csv"} < set(names)
+    for name in names:
+        assert (tmp_path / "sweep" / name).read_bytes() == \
+               (tmp_path / "analyze" / name).read_bytes(), name
 
 
 # --------------------------------------------------------------------------

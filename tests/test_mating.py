@@ -14,7 +14,6 @@ from gridarena.core import (
 )
 from gridarena.gamelog import Delta
 from gridarena.mating import (
-    MatingConfig,
     ProposalView,
     assign_roles,
     make_offspring,
@@ -57,13 +56,13 @@ class Verdict:
         return self.answer
 
 
-def propose(state, proposer_id, target_id, *, answer=True, cfg=None):
+def propose(state, proposer_id, target_id, *, answer=True):
     verdict = Verdict(answer)
     delta = Delta(state)
     births = []
     outcome, event = resolve_reproduce(
         state, state.agents[proposer_id], Reproduce(target_id=target_id),
-        delta, cfg or MatingConfig(), verdict, births)
+        delta, verdict, births)
     return outcome, event, delta, births, verdict
 
 
@@ -106,15 +105,6 @@ def test_vitality_endowment_bounds():
         vitality_endowment(11)
 
 
-def test_mating_config_validation():
-    with pytest.raises(ValueError):
-        MatingConfig(provider_food_cost=-1)
-    with pytest.raises(ValueError):
-        MatingConfig(reveal_duration=-1)
-    with pytest.raises(ValueError):
-        MatingConfig(mutation_sigma=0.0)
-
-
 # --------------------------------------------------------------------------
 # COMMUNICATE
 
@@ -127,8 +117,7 @@ def test_communicate_costs_reveals_and_delivers():
     state = mating_state([sender, near, far, outside])
     state.turn = 4
     delta = Delta(state)
-    outcome = resolve_communicate(state, sender, Communicate(message="hi all"),
-                                  delta, MatingConfig())
+    outcome = resolve_communicate(state, sender, Communicate(message="hi all"), delta)
     assert outcome == "ok"
     assert sender.tokens == 3
     assert sender.revealed_until == 7  # visible on turns 5..7
@@ -142,8 +131,7 @@ def test_communicate_range_is_sender_soc():
     outside = chooser(2, (2, 0))
     state = mating_state([sender, near, outside])
     delta = Delta(state)
-    resolve_communicate(state, sender, Communicate(message="psst"), delta,
-                        MatingConfig())
+    resolve_communicate(state, sender, Communicate(message="psst"), delta)
     assert sorted(state.inbox) == [1]
 
 
@@ -151,8 +139,7 @@ def test_communicate_needs_tokens():
     sender = provider(0, (0, 0), tokens=1)
     state = mating_state([sender, chooser(1, (0, 1))])
     delta = Delta(state)
-    outcome = resolve_communicate(state, sender, Communicate(message="hi"),
-                                  delta, MatingConfig())
+    outcome = resolve_communicate(state, sender, Communicate(message="hi"), delta)
     assert outcome == "failed_no_tokens"
     assert sender.tokens == 1 and state.inbox == {}
 
@@ -196,17 +183,6 @@ def test_reproduce_rejected_still_charges_both_by_default():
     assert (dad.food, dad.tokens) == (24, 7)
     assert (mom.food, mom.tokens) == (28, 7)
     assert births == [] and event.accepted is False and event.offspring_id is None
-
-
-def test_reproduce_rejected_can_spare_the_chooser():
-    dad = provider(0, (1, 1), food=30, tokens=10)
-    mom = chooser(1, (1, 1), food=40, tokens=12)
-    state = mating_state([dad, mom])
-    cfg = MatingConfig(chooser_pays_on_reject=False)
-    outcome, _, _, _, _ = propose(state, 0, 1, answer=False, cfg=cfg)
-    assert outcome == "rejected"
-    assert (dad.food, dad.tokens) == (24, 7)
-    assert (mom.food, mom.tokens) == (40, 12)
 
 
 def test_reproduce_failure_ordering():
@@ -280,7 +256,7 @@ def test_reproduce_evaluation_fault_counts_as_reject():
     delta = Delta(state)
     births = []
     outcome, event = resolve_reproduce(state, dad, Reproduce(target_id=1),
-                                       delta, MatingConfig(), policies, births)
+                                       delta, policies, births)
     assert outcome == "rejected" and births == []
     assert event.accepted is False
     assert (mom.food, mom.tokens) == (28, 7)  # rejection still costs her

@@ -1,0 +1,14 @@
+"""README's python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
