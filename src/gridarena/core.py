@@ -107,6 +107,9 @@ class GameConfig:
     def cell_at(self, index: int) -> tuple[int, int]:  # grid order, row by row
         return (index % self.grid_width, index // self.grid_width)
 
+    def in_bounds(self, pos: tuple[int, int]) -> bool:
+        return 0 <= pos[0] < self.grid_width and 0 <= pos[1] < self.grid_height
+
     def problems(self) -> list[str]:
         out = []
         for name in self.FIELDS:
@@ -270,6 +273,15 @@ class AgentState:
     def max_health(self) -> int:
         return 10 + 2 * self.attrs.END
 
+    @property
+    def move_steps(self) -> int:
+        """Steps one MOVE may take: two at SPD 5 or more, else one."""
+        return 2 if self.attrs.SPD >= 5 else 1
+
+    def revealed(self, turn: int) -> bool:
+        """Whether a COMMUNICATE still shows this agent's attributes on ``turn``."""
+        return self.revealed_until != 0 and self.revealed_until >= turn
+
 
 @dataclass
 class ResourceNode:
@@ -322,7 +334,7 @@ class GameState:
         return len(self.agents_at(pos))
 
     def in_bounds(self, pos: tuple[int, int]) -> bool:
-        return 0 <= pos[0] < self.config.grid_width and 0 <= pos[1] < self.config.grid_height
+        return self.config.in_bounds(pos)
 
 
 def place_nodes(rng: random.Random, config: GameConfig) -> list[ResourceNode]:

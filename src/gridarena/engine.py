@@ -50,6 +50,7 @@ from .actions import (
     render,
 )
 from .core import (
+    ATTRIBUTE_MAX,
     AgentState,
     GameState,
     VARIANT_SEXUAL_SELECTION,
@@ -128,7 +129,6 @@ def observe(state: GameState, agent_id: int) -> Observation:
             continue
         if chebyshev(agent.pos, other.pos) > VISION_RANGE:
             continue
-        revealed = other.revealed_until != 0 and other.revealed_until >= state.turn
         nearby.append(NearbyAgent(
             id=other.id,
             pos=other.pos,
@@ -136,7 +136,7 @@ def observe(state: GameState, agent_id: int) -> Observation:
             approx_tokens=quantize(other.tokens, width),
             role=other.role if sexual else None,
             vitality=other.vitality if sexual else None,
-            attrs=other.attrs if revealed else None,
+            attrs=other.attrs if other.revealed(state.turn) else None,
         ))
 
     nodes = tuple(
@@ -231,10 +231,9 @@ def _resolve_gather(state: GameState, agent: AgentState, delta: Delta) -> str:
 
 
 def _resolve_move(state: GameState, agent: AgentState, action: Move, delta: Delta) -> str:
-    allowed = 2 if agent.attrs.SPD >= 5 else 1
     pos = agent.pos
     taken = 0
-    for direction in action.steps[:allowed]:
+    for direction in action.steps[:agent.move_steps]:
         dx, dy = DIRECTIONS[direction]
         nxt = (pos[0] + dx, pos[1] + dy)
         if not state.in_bounds(nxt):
@@ -293,7 +292,7 @@ def _resolve_train(agent: AgentState, action: Train, delta: Delta) -> str:
     name = action.attribute
     progress = agent.train_progress.get(name, 0) + agent.attrs.INT
     if progress >= TRAIN_THRESHOLD:
-        delta.set_agent(agent, f"attr:{name}", min(10, agent.attrs.get(name) + 1))
+        delta.set_agent(agent, f"attr:{name}", min(ATTRIBUTE_MAX, agent.attrs.get(name) + 1))
         delta.set_agent(agent, f"train:{name}", 0)
     else:
         delta.set_agent(agent, f"train:{name}", progress)

@@ -54,12 +54,47 @@ RECORD_KEYS: dict[str, frozenset[str]] = {
 EVENT_TYPES = tuple(RECORD_KEYS)
 
 
-class LogError(ValueError):
-    """Malformed log line; message carries the 1-based line number."""
-
-
 class ReplayError(ValueError):
     """Re-execution diverged from the log, or the log is unusable."""
+
+
+class LogError(ReplayError):
+    """Malformed log line; message carries the 1-based line number. A log
+    that cannot be read cannot be replayed, hence the base class."""
+
+
+class _NotAnInteger(ValueError):
+    pass
+
+
+def _reject_number(text: str):
+    raise _NotAnInteger(text)
+
+
+# The engine writes integers only, so a float, NaN or Infinity in a line is
+# an edit. One module-level decoder parses at ``json.loads``' cost.
+_DECODER = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number)
+
+
+def _decode(line: str) -> tuple[Any, str | None]:
+    """A line's record, and the text of its first non-integer number if any."""
+    try:
+        return _DECODER.decode(line), None
+    except _NotAnInteger as exc:
+        return json.loads(line), str(exc)
+
+
+def _float_path(value: Any, path: str = "") -> str | None:
+    """Where the first float of a decoded record sits, as ``delta[0][3]``."""
+    if isinstance(value, float):
+        return path.lstrip(".")
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, item in children:
+        found = _float_path(item, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
+        if found is not None:
+            return found
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +226,7 @@ class GameLog:
             if not line:
                 continue
             try:
-                event = json.loads(line)
+                event, number = _decode(line)
             except json.JSONDecodeError as exc:
                 raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(event, dict) or event.get("type") not in EVENT_TYPES:
@@ -200,6 +235,9 @@ class GameLog:
             if not required <= event.keys():
                 missing = ", ".join(sorted(required - event.keys()))
                 raise LogError(f"line {lineno}: {event['type']} record lacks {missing}")
+            if number is not None:
+                raise LogError(f"line {lineno} ({event['type']}): {_float_path(event)} "
+                               f"must be an integer, got {number}")
             log.events.append(event)
         return log
 

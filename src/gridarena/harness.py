@@ -21,12 +21,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from .core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION, new_game
+from .core import (AgentState, ConfigError, GameConfig, ROLE_CHOOSER, ROLE_PROVIDER,
+                   VARIANT_SEXUAL_SELECTION, new_game)
 from .engine import run_game
 from .gamelog import GameLog
 from .gateway import GatewayConfig
 from .metrics import ACTION_TYPES, MetricsSummary, summarize
-from .policy import LLMPolicy, PolicyMap, SCRIPTED_POLICIES, make_scripted
+from .policy import LLMPolicy, Policy, PolicyMap, SCRIPTED_POLICIES, make_scripted
 
 
 # --------------------------------------------------------------------------
@@ -95,6 +96,52 @@ def resolve_preset(preset: "str | Preset | GameConfig") -> Preset:
 # Policy assignment strings
 
 
+Rule = tuple[Callable[[AgentState], bool], str]  # (matches(agent), policy name)
+
+
+def _id_matcher(selector: str) -> Callable[[AgentState], bool]:
+    """Match ``*`` (every agent), one agent id, or an inclusive ``lo-hi`` range."""
+    if selector == "*":
+        return lambda agent: True
+    lo_text, dash, hi_text = selector.partition("-")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dash else lo_text)
+    except ValueError:
+        raise ConfigError([f"bad agent ids {selector!r}"]) from None
+    if lo > hi:
+        raise ConfigError([f"empty id range {selector!r}: {lo} > {hi}"])
+    return lambda agent: lo <= agent.id <= hi
+
+
+def _assignment_rules(assignment: str, config: GameConfig) -> list[Rule]:
+    """An assignment string as its ordered rule list: ``llm`` and
+    ``scripted:<name>`` are one ``*`` rule, ``byrole`` one rule per role,
+    and ``mixed`` lists its rules as written."""
+    form, _, body = assignment.partition(":")
+    if assignment == "llm":
+        return [(_id_matcher("*"), "llm")]
+    if form == "scripted" and body and body != "llm":
+        return [(_id_matcher("*"), body)]
+    if form not in ("mixed", "byrole") or not body:
+        raise ConfigError([
+            f"bad policy assignment {assignment!r}; forms: llm | scripted:<name> | "
+            "mixed:<ids=name,...> | byrole:provider=<name>,chooser=<name>"])
+    pairs = []
+    for part in body.split(","):
+        selector, eq, name = (text.strip() for text in part.partition("="))
+        if not (selector and eq and name):
+            raise ConfigError([f"bad {form} rule {part!r}; expected <selector>=<name>"])
+        pairs.append((selector, name))
+    if form == "mixed":
+        return [(_id_matcher(selector), name) for selector, name in pairs]
+    if config.engine_variant != VARIANT_SEXUAL_SELECTION:
+        raise ConfigError(["byrole assignment needs engine_variant=sexual_selection"])
+    if sorted(role for role, _ in pairs) != [ROLE_CHOOSER, ROLE_PROVIDER]:
+        raise ConfigError([f"bad byrole rules {body!r}; expected "
+                           "provider=<name> and chooser=<name>, once each"])
+    return [((lambda agent, role=role: agent.role == role), name) for role, name in pairs]
+
+
 def build_policy_map(assignment: str, config: GameConfig,
                      gateway: GatewayConfig | None = None) -> PolicyMap:
     """Turn an assignment string into a PolicyMap.
@@ -103,105 +150,31 @@ def build_policy_map(assignment: str, config: GameConfig,
 
         llm
         scripted:<name>
-        mixed:<id|lo-hi|*>=<name>,...      first matching rule wins, else rest
+        mixed:<id|lo-hi|*>=<name>,...
         byrole:provider=<name>,chooser=<name>
 
-    ``llm`` is also accepted as a <name> inside mixed/byrole; all LLM agents
-    share one policy instance so their prompts batch together.
+    Each form is one ordered rule list: the first rule matching an agent
+    names its policy, and an agent no rule matches plays ``rest``. ``llm`` is
+    also accepted as a <name> inside mixed/byrole; all LLM agents share one
+    policy instance so their prompts batch together.
     """
-    shared_llm: list[LLMPolicy] = []
-
-    def llm_policy() -> LLMPolicy:
-        if gateway is None:
-            raise ConfigError(["policy assignment uses 'llm' but no gateway is "
-                               "configured (CLI: --endpoint and --model)"])
-        if not shared_llm:
-            shared_llm.append(LLMPolicy(gateway))
-        return shared_llm[0]
-
-    def check_name(name: str) -> str:
+    rules = _assignment_rules(assignment, config)
+    for _, name in rules:
         if name != "llm" and name not in SCRIPTED_POLICIES:
             raise ConfigError([f"unknown policy {name!r}; choices: "
                                f"llm, {', '.join(sorted(SCRIPTED_POLICIES))}"])
-        if name == "llm":
-            llm_policy()  # fail fast when no gateway is configured
-        return name
+    llm: LLMPolicy | None = None
+    if any(name == "llm" for _, name in rules):
+        if gateway is None:
+            raise ConfigError(["policy assignment uses 'llm' but no gateway is "
+                               "configured (CLI: --endpoint and --model)"])
+        llm = LLMPolicy(gateway)
 
-    def resolve(name: str, agent) -> Any:
-        if name == "llm":
-            return llm_policy()
-        return make_scripted(name, agent.id, config)
+    def factory(agent: AgentState) -> Policy:
+        name = next((name for matches, name in rules if matches(agent)), "rest")
+        return llm if name == "llm" else make_scripted(name, agent.id, config)
 
-    kind, _, rest = assignment.partition(":")
-
-    if assignment == "llm":
-        llm_policy()
-        return PolicyMap(lambda agent: llm_policy())
-
-    if kind == "scripted" and rest:
-        check_name(rest)
-        if rest == "llm":
-            raise ConfigError(["'scripted:llm' is not a thing; use 'llm'"])
-        return PolicyMap(lambda agent: resolve(rest, agent))
-
-    if kind == "mixed" and rest:
-        rules: list[tuple[int | None, int | None, str]] = []
-        for part in rest.split(","):
-            selector, eq, name = part.partition("=")
-            selector, name = selector.strip(), name.strip()
-            if not eq or not name:
-                raise ConfigError([f"bad mixed rule {part!r}; expected <ids>=<name>"])
-            check_name(name)
-            if selector == "*":
-                rules.append((None, None, name))
-            elif "-" in selector:
-                lo_text, _, hi_text = selector.partition("-")
-                try:
-                    lo, hi = int(lo_text), int(hi_text)
-                except ValueError:
-                    raise ConfigError([f"bad id range {selector!r}"]) from None
-                rules.append((lo, hi, name))
-            else:
-                try:
-                    only = int(selector)
-                except ValueError:
-                    raise ConfigError([f"bad agent id {selector!r}"]) from None
-                rules.append((only, only, name))
-
-        def mixed_factory(agent):
-            for lo, hi, name in rules:
-                if lo is None or lo <= agent.id <= hi:
-                    return resolve(name, agent)
-            return make_scripted("rest", agent.id, config)
-
-        return PolicyMap(mixed_factory)
-
-    if kind == "byrole" and rest:
-        if config.engine_variant != VARIANT_SEXUAL_SELECTION:
-            raise ConfigError(["byrole assignment needs engine_variant=sexual_selection"])
-        by_role: dict[str, str] = {}
-        for part in rest.split(","):
-            role, eq, name = part.partition("=")
-            role, name = role.strip(), name.strip()
-            if role not in ("provider", "chooser") or not eq or not name:
-                raise ConfigError([f"bad byrole rule {part!r}; expected "
-                                   "provider=<name> or chooser=<name>"])
-            by_role[role] = check_name(name)
-        missing = [r for r in ("provider", "chooser") if r not in by_role]
-        if missing:
-            raise ConfigError([f"byrole assignment missing {', '.join(missing)}"])
-
-        def role_factory(agent):
-            name = by_role.get(agent.role)
-            if name is None:
-                return make_scripted("rest", agent.id, config)
-            return resolve(name, agent)
-
-        return PolicyMap(role_factory)
-
-    raise ConfigError([
-        f"bad policy assignment {assignment!r}; forms: llm | scripted:<name> | "
-        "mixed:<ids=name,...> | byrole:provider=<name>,chooser=<name>"])
+    return PolicyMap(factory)
 
 
 # --------------------------------------------------------------------------
@@ -234,20 +207,18 @@ def resolve_config(preset: Preset, overrides: Mapping[str, Any],
     unknown = sorted(set(overrides) - set(GameConfig.FIELDS))
     if unknown:
         raise ConfigError([f"unknown config key {key!r}" for key in unknown])
-    values: dict[str, Any] = {}
+    values = dict(overrides) if seed is None else {**overrides, "seed": seed}
     problems = []
-    for key, value in overrides.items():
-        if key == "engine_variant":
-            values[key] = str(value)
-        else:
+    # Text (CLI input) is converted; any other value must already have its
+    # field's type, which ``validate`` checks, so 2.7 is never played as 2.
+    for key, value in values.items():
+        if isinstance(value, str) and key != "engine_variant":
             try:
                 values[key] = int(value)
-            except (TypeError, ValueError):
+            except ValueError:
                 problems.append(f"{key} must be an integer, got {value!r}")
     if problems:
         raise ConfigError(problems)
-    if seed is not None:
-        values["seed"] = int(seed)
     return replace(preset.config, **values).validate()
 
 
@@ -459,15 +430,18 @@ def write_summary_csv(rows: list[dict[str, str]], path: Path) -> None:
 
 
 def render_summary_md(rows: list[dict[str, str]]) -> str:
-    """Markdown summary table with the peak trade count bolded."""
+    """Markdown summary table with the peak trade count bolded. A table with
+    no trades, or whose rows all tie, has no peak and bolds nothing."""
     out = ["| " + " | ".join(SUMMARY_COLUMNS) + " |",
            "| " + " | ".join("---" for _ in SUMMARY_COLUMNS) + " |"]
-    max_trades = max((int(r["trades"]) for r in rows), default=0)
+    trades = [int(r["trades"]) for r in rows]
+    peak = max(trades, default=0)
+    has_peak = peak > 0 and min(trades) < peak
     for row in rows:
         cells = []
         for column in SUMMARY_COLUMNS:
             value = row[column]
-            if column == "trades" and rows and int(value) == max_trades and len(rows) > 1:
+            if column == "trades" and has_peak and int(value) == peak:
                 value = f"**{value}**"
             cells.append(value)
         out.append("| " + " | ".join(cells) + " |")

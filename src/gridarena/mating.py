@@ -15,6 +15,8 @@ from typing import Any
 
 from .actions import Communicate, Reproduce
 from .core import (
+    ATTRIBUTE_MAX,
+    ATTRIBUTE_MIN,
     ATTRIBUTE_NAMES,
     AgentState,
     Attributes,
@@ -120,7 +122,8 @@ def make_offspring(parent_a: AgentState, parent_b: AgentState, rng: random.Rando
     values = {}
     for name in ATTRIBUTE_NAMES:
         mean = (parent_a.attrs.get(name) + parent_b.attrs.get(name)) / 2
-        values[name] = clip(round_half_up(mean + rng.gauss(0.0, MUTATION_SIGMA)), 1, 10)
+        values[name] = clip(round_half_up(mean + rng.gauss(0.0, MUTATION_SIGMA)),
+                            ATTRIBUTE_MIN, ATTRIBUTE_MAX)
     vitality = clip(round_half_up((parent_a.vitality + parent_b.vitality) / 2), 1, 10)
     role = rng.choice((ROLE_PROVIDER, ROLE_CHOOSER))
     food, tokens = vitality_endowment(vitality)

@@ -133,12 +133,9 @@ def summarize(log: GameLog) -> MetricsSummary:
     social = 0
     for event in _action_lines(log):
         name = _action_type(event)
-        if name == "TRADE":
-            social += 1
-            if event["outcome"] == "accepted":
-                trades += 1
-        elif name == "COMMUNICATE":
-            social += 1
+        social += name in SOCIAL_TYPES
+        if name == "TRADE" and event["outcome"] == "accepted":
+            trades += 1
         elif name == "ATTACK" and event["outcome"] == "ok":
             attacks += 1
 

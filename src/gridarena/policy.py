@@ -1,8 +1,8 @@
 """The agent-decision boundary: policy interface, scripted baselines,
 prompt construction, and free-text action parsing.
 
-A policy turns a ``PromptContext`` into a ``PolicyDecision``. Scripted
-policies are pure functions of (context, policy-internal seed); the LLM
+A policy turns an ``engine.Observation`` into a ``PolicyDecision``. Scripted
+policies are pure functions of (observation, policy-internal seed); the LLM
 policy renders a prompt, calls the gateway, and parses the reply, falling
 back to REST when the reply has no parseable action line.
 """
@@ -33,10 +33,13 @@ from .core import (
     ROLE_CHOOSER,
     ROLE_PROVIDER,
     VARIANT_SEXUAL_SELECTION,
+    VISION_RANGE,
     manhattan,
     vitality_band,
 )
+from .engine import ATTACK_TOKEN_COST, Observation
 from .gateway import GatewayConfig, GatewayError, batch_complete, complete
+from .mating import PROVIDER_TOKEN_COST
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,7 @@ class PolicyDecision:
             raise ValueError("fallback decisions must be REST")
 
 
-@dataclass(frozen=True)
-class PromptContext:
-    observation: Any
-    available_actions: tuple[str, ...]
-    turn: int
-
-
-def available_actions(observation: Any) -> tuple[str, ...]:
+def available_actions(observation: Observation) -> tuple[str, ...]:
     """Action names legal for this observer: the survival six, plus
     COMMUNICATE under sexual_selection, plus REPRODUCE for providers only."""
     names = ["GATHER", "MOVE", "ATTACK", "TRADE", "REST", "TRAIN"]
@@ -71,12 +67,6 @@ def available_actions(observation: Any) -> tuple[str, ...]:
         if observation.agent.role == ROLE_PROVIDER:
             names.append("REPRODUCE")
     return tuple(names)
-
-
-def context_for(observation: Any) -> PromptContext:
-    return PromptContext(observation=observation,
-                         available_actions=available_actions(observation),
-                         turn=observation.turn)
 
 
 # --------------------------------------------------------------------------
@@ -105,13 +95,12 @@ def _attr_line(attrs: Any) -> str:
             f"SOC={attrs.SOC} END={attrs.END} CHA={attrs.CHA}")
 
 
-def build_prompt(context: PromptContext) -> str:
-    """Render the per-turn decision prompt. Byte-stable for equal contexts.
+def build_prompt(obs: Observation) -> str:
+    """Render the per-turn decision prompt. Byte-stable for equal observations.
 
     List sections (resource nodes, nearby agents, recent actions, messages)
     render their header with zero entry lines when empty.
     """
-    obs = context.observation
     me = obs.agent
     sexual = obs.variant == VARIANT_SEXUAL_SELECTION
 
@@ -136,7 +125,7 @@ def build_prompt(context: PromptContext) -> str:
         lines.append(entry)
     lines.append("")
 
-    lines.append("NEARBY AGENTS (within 2 cells):")
+    lines.append(f"NEARBY AGENTS (within {VISION_RANGE} cells):")
     for other in obs.nearby:
         entry = (f"- Agent {other.id} at ({other.pos[0]}, {other.pos[1]}): "
                  f"~{other.approx_food} food, ~{other.approx_tokens} tokens")
@@ -159,7 +148,7 @@ def build_prompt(context: PromptContext) -> str:
         lines.append("")
 
     lines.append("AVAILABLE ACTIONS:")
-    lines.append(_actions_block(context.available_actions))
+    lines.append(_actions_block(available_actions(obs)))
     lines.append("")
     lines.append("Offer and request take the form [food]f[tokens]t, e.g. 5f2t.")
     lines.append("")
@@ -210,18 +199,18 @@ def parse_verdict(text: str) -> bool | None:
 class Policy:
     """Decision maker for one or more agents.
 
-    ``decide_batch`` isolates failures per context by returning the caught
+    ``decide_batch`` isolates failures per observation by returning the caught
     exception in that slot; the engine substitutes REST and logs the fault.
     """
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
+    def decide(self, obs: Observation) -> PolicyDecision:
         raise NotImplementedError
 
-    def decide_batch(self, contexts: Sequence[PromptContext]) -> list[PolicyDecision | BaseException]:
+    def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision | BaseException]:
         out: list[PolicyDecision | BaseException] = []
-        for context in contexts:
+        for obs in observations:
             try:
-                out.append(self.decide(context))
+                out.append(self.decide(obs))
             except Exception as exc:
                 out.append(exc)
         return out
@@ -234,8 +223,8 @@ class PolicyMap:
     """Routes agents to policies and implements the engine-facing protocol.
 
     Policies are created lazily through ``factory(agent)`` and cached by
-    agent id, so offspring born mid-game get policies on first use. Contexts
-    are batched per policy instance, preserving agent-id order.
+    agent id, so offspring born mid-game get policies on first use.
+    Observations are batched per policy instance, preserving agent-id order.
     """
 
     def __init__(self, factory):
@@ -249,31 +238,22 @@ class PolicyMap:
             self._cache[agent.id] = policy
         return policy
 
-    def decide_all(self, observations: dict[int, Any]) -> dict[int, PolicyDecision | BaseException]:
-        order = sorted(observations)
-        contexts: dict[int, PromptContext] = {}
-        groups: list[tuple[Policy, list[int]]] = []
-        group_index: dict[int, int] = {}
-        for aid in order:
-            obs = observations[aid]
-            policy = self.policy_for(obs.agent)
-            contexts[aid] = context_for(obs)
-            gi = group_index.get(id(policy))
-            if gi is None:
-                group_index[id(policy)] = len(groups)
-                groups.append((policy, [aid]))
-            else:
-                groups[gi][1].append(aid)
+    def decide_all(self, observations: dict[int, Observation]) -> dict[int, PolicyDecision | BaseException]:
+        # one batch per policy instance, in the order of their first agents
+        groups: dict[int, tuple[Policy, list[int]]] = {}
+        for aid in sorted(observations):
+            policy = self.policy_for(observations[aid].agent)
+            groups.setdefault(id(policy), (policy, []))[1].append(aid)
 
         results: dict[int, PolicyDecision | BaseException] = {}
-        for policy, ids in groups:
+        for policy, ids in groups.values():
             try:
-                batch = list(policy.decide_batch([contexts[a] for a in ids]))
+                batch = list(policy.decide_batch([observations[a] for a in ids]))
             except Exception as exc:
                 batch = [exc] * len(ids)
             if len(batch) != len(ids):
                 error = RuntimeError(
-                    f"policy returned {len(batch)} decisions for {len(ids)} contexts")
+                    f"policy returned {len(batch)} decisions for {len(ids)} observations")
                 batch = [error] * len(ids)
             for aid, decision in zip(ids, batch):
                 results[aid] = decision
@@ -309,8 +289,7 @@ class ScriptedPolicy(Policy):
         for name in ("N", "E", "S", "W"):
             dx, dy = DIRECTIONS[name]
             nxt = (frm[0] + dx, frm[1] + dy)
-            if not (0 <= nxt[0] < self.config.grid_width
-                    and 0 <= nxt[1] < self.config.grid_height):
+            if not self.config.in_bounds(nxt):
                 continue
             dist = manhattan(nxt, to)
             if dist < best_dist:
@@ -318,19 +297,19 @@ class ScriptedPolicy(Policy):
         return best_name
 
     def _move_toward(self, agent: AgentState, to: tuple[int, int]) -> Move | None:
-        first = self._step_toward(agent.pos, to)
-        if first is None:
-            return None
-        steps = [first]
-        if agent.attrs.SPD >= 5:
-            dx, dy = DIRECTIONS[first]
-            mid = (agent.pos[0] + dx, agent.pos[1] + dy)
-            second = self._step_toward(mid, to)
-            if second is not None:
-                steps.append(second)
-        return Move(tuple(steps))
+        """Greedy steps toward ``to``, as many as one MOVE of ``agent`` takes."""
+        steps: list[str] = []
+        pos = agent.pos
+        while len(steps) < agent.move_steps:
+            step = self._step_toward(pos, to)
+            if step is None:
+                break
+            steps.append(step)
+            dx, dy = DIRECTIONS[step]
+            pos = (pos[0] + dx, pos[1] + dy)
+        return Move(tuple(steps)) if steps else None
 
-    def _gather_action(self, obs: Any, kind: str | None = None) -> Action | None:
+    def _gather_action(self, obs: Observation, kind: str | None = None) -> Action | None:
         """GATHER on a usable node underfoot, else MOVE toward the nearest
         candidate node (unknown stock counts as a candidate), else None."""
         me = obs.agent
@@ -353,22 +332,22 @@ class ScriptedPolicy(Policy):
 class RestOnly(ScriptedPolicy):
     """Sits still forever; the survival-horizon oracle."""
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
+    def decide(self, obs: Observation) -> PolicyDecision:
         return PolicyDecision(REST)
 
 
 class RandomWalker(ScriptedPolicy):
     """One seeded-random step per turn."""
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
+    def decide(self, obs: Observation) -> PolicyDecision:
         return PolicyDecision(Move((self.rng.choice("NSEW"),)))
 
 
 class GreedyGatherer(ScriptedPolicy):
     """Gathers underfoot, else heads for the nearest node believed non-empty."""
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
-        action = self._gather_action(context.observation)
+    def decide(self, obs: Observation) -> PolicyDecision:
+        action = self._gather_action(obs)
         return PolicyDecision(action if action is not None else REST)
 
 
@@ -376,8 +355,7 @@ class Trader(ScriptedPolicy):
     """Offers 2 food for 1 token to the richest visible neighbor whenever
     food exceeds ten upkeeps' worth; otherwise behaves like the gatherer."""
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
-        obs = context.observation
+    def decide(self, obs: Observation) -> PolicyDecision:
         me = obs.agent
         if obs.nearby and me.food > 10 * self.config.upkeep:
             target = max(obs.nearby,
@@ -392,11 +370,10 @@ class Aggressor(ScriptedPolicy):
     """Attacks the weakest-looking co-located agent (lowest approximate food,
     ties to the lower id) while it can pay the token cost, else gathers."""
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
-        obs = context.observation
+    def decide(self, obs: Observation) -> PolicyDecision:
         me = obs.agent
         same_cell = [n for n in obs.nearby if n.pos == me.pos]
-        if same_cell and me.tokens >= 1:
+        if same_cell and me.tokens >= ATTACK_TOKEN_COST:
             target = min(same_cell, key=lambda n: (n.approx_food, n.id))
             return PolicyDecision(Attack(target.id))
         action = self._gather_action(obs)
@@ -411,22 +388,20 @@ class Suitor(ScriptedPolicy):
     PROPOSE_FOOD_FLOOR = 20
     SIGNAL_TOKEN_FLOOR = 8
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
-        obs = context.observation
+    def decide(self, obs: Observation) -> PolicyDecision:
         me = obs.agent
         choosers = [n for n in obs.nearby if n.role == ROLE_CHOOSER]
 
         here = [n for n in choosers if n.pos == me.pos]
-        if here and me.food >= self.PROPOSE_FOOD_FLOOR and me.tokens >= 3:
+        if here and me.food >= self.PROPOSE_FOOD_FLOOR and me.tokens >= PROVIDER_TOKEN_COST:
             target = max(here, key=lambda n: ((n.vitality or 0), -n.id))
             return PolicyDecision(Reproduce(target.id))
 
-        revealed = me.revealed_until != 0 and me.revealed_until >= obs.turn
-        if choosers and me.tokens >= self.SIGNAL_TOKEN_FLOOR and not revealed:
+        if choosers and me.tokens >= self.SIGNAL_TOKEN_FLOOR and not me.revealed(obs.turn):
             message = f"Agent {me.id} {vitality_band(me.vitality)}, vitality {me.vitality}, food {me.food}"
             return PolicyDecision(Communicate(message))
 
-        if me.tokens < 3:
+        if me.tokens < PROVIDER_TOKEN_COST:
             action = self._gather_action(obs, kind="token") or self._gather_action(obs)
             if action is not None:
                 return PolicyDecision(action)
@@ -449,8 +424,8 @@ class PickyChooser(ScriptedPolicy):
 
     ACCEPT_VITALITY_FLOOR = 6
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
-        action = self._gather_action(context.observation)
+    def decide(self, obs: Observation) -> PolicyDecision:
+        action = self._gather_action(obs)
         return PolicyDecision(action if action is not None else REST)
 
     def evaluate_proposal(self, view: Any) -> bool:
@@ -467,7 +442,7 @@ class ScriptedSequence(ScriptedPolicy):
         self.loop = loop
         self._cursor = 0
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
+    def decide(self, obs: Observation) -> PolicyDecision:
         if not self.sequence:
             return PolicyDecision(REST)
         if self._cursor >= len(self.sequence):
@@ -506,7 +481,7 @@ def make_scripted(name: str, agent_id: int, config: GameConfig) -> ScriptedPolic
 class LLMPolicy(Policy):
     """Prompts a chat-completion endpoint for every decision.
 
-    Use one shared instance for all LLM agents in a run so their contexts
+    Use one shared instance for all LLM agents in a run so their observations
     batch into a single bounded-concurrency gateway call per turn. Gateway
     failures surface as exceptions (the engine substitutes REST and logs a
     policy_fault); replies that merely fail to parse become REST decisions
@@ -516,14 +491,14 @@ class LLMPolicy(Policy):
     def __init__(self, gateway_config: GatewayConfig):
         self.gateway_config = gateway_config
 
-    def decide(self, context: PromptContext) -> PolicyDecision:
-        result = self.decide_batch([context])[0]
+    def decide(self, obs: Observation) -> PolicyDecision:
+        result = self.decide_batch([obs])[0]
         if isinstance(result, BaseException):
             raise result
         return result
 
-    def decide_batch(self, contexts: Sequence[PromptContext]) -> list[PolicyDecision | BaseException]:
-        prompts = [build_prompt(c) for c in contexts]
+    def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision | BaseException]:
+        prompts = [build_prompt(obs) for obs in observations]
         replies = batch_complete(prompts, self.gateway_config)
         out: list[PolicyDecision | BaseException] = []
         for reply in replies:

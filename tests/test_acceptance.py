@@ -54,7 +54,6 @@ from gridarena.policy import (
     PolicyMap,
     ScriptedSequence,
     build_prompt,
-    context_for,
 )
 
 from conftest import (
@@ -485,18 +484,18 @@ def test_c7_round_trip_template_and_hint_scan():
     for action in actions:
         assert parse_action(render(action)) == action, render(action)
 
-    context = context_for(survival_observation())
-    assert build_prompt(context) == SURVIVAL_PROMPT
-    assert build_prompt(context) == build_prompt(context)
+    obs = survival_observation()
+    assert build_prompt(obs) == SURVIVAL_PROMPT
+    assert build_prompt(obs) == build_prompt(obs)
 
     prompts = [SURVIVAL_PROMPT, PROPOSAL_PROMPT]
     provider = make_agent(0, (0, 0), role="provider", vitality=9)
-    prompts.append(build_prompt(context_for(observation(
+    prompts.append(build_prompt(observation(
         provider, variant=VARIANT_SEXUAL_SELECTION,
-        messages=[(4, "come north")]))))
+        messages=[(4, "come north")])))
     chooser = make_agent(1, (0, 0), role="chooser", vitality=2)
-    prompts.append(build_prompt(context_for(observation(
-        chooser, variant=VARIANT_SEXUAL_SELECTION))))
+    prompts.append(build_prompt(observation(
+        chooser, variant=VARIANT_SEXUAL_SELECTION)))
     for prompt in prompts:
         assert banned_word_hits(prompt) == []
 

@@ -52,8 +52,8 @@ class Plan(Policy):
     def __init__(self, plans):
         self.plans = plans
 
-    def decide(self, context):
-        planned = self.plans.get(context.observation.agent.id, REST)
+    def decide(self, obs):
+        planned = self.plans.get(obs.agent.id, REST)
         if isinstance(planned, Exception):
             raise planned
         return PolicyDecision(action=planned)
@@ -355,7 +355,7 @@ def test_policy_exception_becomes_rest_with_fault_event():
 
 def test_fallback_flag_is_logged():
     class Fallback(Policy):
-        def decide(self, context):
+        def decide(self, obs):
             return PolicyDecision(action=REST, raw_response="???",
                                   parse_status="fallback")
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from gridarena.cli import main
 from gridarena.core import new_game
 from gridarena.engine import run_game
 from gridarena.gamelog import (
@@ -64,6 +65,25 @@ def test_from_text_reports_line_numbers():
     with pytest.raises(LogError) as excinfo:
         GameLog.from_text("\n".join(lines))
     assert "line 3" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("number", [58.0, float("nan"), float("inf"), float("-inf")])
+def test_from_text_rejects_non_integer_numbers(number, tmp_path):
+    lines = scripted_log().to_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["type"] == "upkeep" and isinstance(record["delta"][0][4], int)
+    record["delta"][0][4] = number
+    lines[1] = json.dumps(record)
+    with pytest.raises(LogError, match=r"line 2 \(upkeep\): delta\[0\]\[4\] must be an integer"):
+        GameLog.from_text("\n".join(lines))
+    path = tmp_path / "game.log"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(path)]) == 4
+
+
+def test_from_text_rejects_a_float_before_a_syntax_error():
+    with pytest.raises(LogError, match="line 1: invalid JSON"):
+        GameLog.from_text('{"type": "regen", "turn": 1.5, oops}')
 
 
 def test_append_rejects_unknown_event_types():
@@ -335,7 +355,7 @@ def test_replay_rejects_header_that_new_game_does_not_build():
 
 
 class Unreachable(Policy):
-    def decide(self, context):
+    def decide(self, obs):
         raise RuntimeError("model unreachable")
 
 

@@ -9,13 +9,14 @@ import pytest
 
 from gridarena import gamelog, harness, metrics
 from gridarena.cli import main
-from gridarena.core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION
+from gridarena.core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION, new_game
 from gridarena.gamelog import GameLog
 from gridarena.harness import (
     PRESETS,
     analyze,
     build_policy_map,
     experiment_id_for,
+    render_summary_md,
     resolve_config,
     resolve_preset,
     run_experiment,
@@ -23,7 +24,14 @@ from gridarena.harness import (
     sweep,
 )
 from gridarena.metrics import summarize
-from gridarena.policy import LLMPolicy
+from gridarena.policy import (
+    Aggressor,
+    LLMPolicy,
+    PickyChooser,
+    RestOnly,
+    Suitor,
+    Trader,
+)
 
 from conftest import gateway_config, small_config
 
@@ -73,6 +81,24 @@ def test_resolve_config_overrides_and_seed():
         resolve_config(PRESETS["P1"], {"upkeep": "-3"}, None)
 
 
+@pytest.mark.parametrize("overrides, seed", [
+    ({"upkeep": 2.7}, None),      # was played as upkeep 2
+    ({"n_agents": True}, None),   # was played as a 1-agent game
+    ({}, 7.9),                    # was played as seed 7
+])
+def test_non_text_values_are_not_truncated(overrides, seed):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_experiment("P1", overrides, seed=seed, ack_overrides=True)
+
+
+def test_sweep_records_a_fractional_value_as_a_failure(tmp_path):
+    with pytest.warns(UserWarning, match="upkeep=2.5"):
+        records = sweep(small_config(max_turns=2), "upkeep", [2.5],
+                        policies="scripted:rest", out_dir=tmp_path)
+    assert records == []
+    assert "upkeep=2.5" in (tmp_path / "failures.md").read_text()
+
+
 def test_overrides_require_acknowledgement():
     with pytest.raises(ConfigError):
         run_experiment("P1", {"upkeep": 5})
@@ -113,6 +139,51 @@ def test_assignment_rejects_malformed_or_unsupported(assignment):
     # everything here is invalid for a survival config with no gateway
     with pytest.raises(ConfigError):
         build_policy_map(assignment, small_config())
+
+
+@pytest.mark.parametrize("assignment", [
+    "mixed:5-2=trader,*=greedy",                         # an empty id range
+    "byrole:provider=suitor,provider=picky,chooser=picky",  # a role named twice
+])
+def test_assignment_rejects_rules_that_cannot_match_as_written(assignment):
+    config = small_config(n_agents=8, engine_variant=VARIANT_SEXUAL_SELECTION)
+    with pytest.raises(ConfigError):
+        build_policy_map(assignment, config)
+
+
+def policy_classes(assignment, config, gateway=None):
+    policy_map = build_policy_map(assignment, config, gateway)
+    return {agent.id: type(policy_map.policy_for(agent))
+            for agent in new_game(config).agents.values()}
+
+
+def test_assignment_scripted_is_one_rule_for_everyone():
+    classes = policy_classes("scripted:trader", small_config(n_agents=4))
+    assert classes == {0: Trader, 1: Trader, 2: Trader, 3: Trader}
+
+
+def test_assignment_mixed_leaves_unmatched_agents_at_rest():
+    classes = policy_classes("mixed:0-1=aggressor,3=trader", small_config(n_agents=5))
+    assert classes == {0: Aggressor, 1: Aggressor, 2: RestOnly, 3: Trader, 4: RestOnly}
+
+
+def test_assignment_byrole_is_one_rule_per_role(stub_gateway):
+    config = small_config(n_agents=6, engine_variant=VARIANT_SEXUAL_SELECTION)
+    state = new_game(config)
+    roles = {agent.id: agent.role for agent in state.agents.values()}
+    assert set(roles.values()) == {"provider", "chooser"}
+
+    scripted = policy_classes("byrole:provider=suitor,chooser=picky", config)
+    assert scripted == {aid: Suitor if role == "provider" else PickyChooser
+                        for aid, role in roles.items()}
+
+    policy_map = build_policy_map("byrole:provider=llm,chooser=picky", config,
+                                  gateway_config(stub_gateway))
+    policies = {aid: policy_map.policy_for(agent) for aid, agent in state.agents.items()}
+    llm = {policy for aid, policy in policies.items() if roles[aid] == "provider"}
+    assert len(llm) == 1 and isinstance(llm.pop(), LLMPolicy)
+    assert all(isinstance(policy, PickyChooser)
+               for aid, policy in policies.items() if roles[aid] == "chooser")
 
 
 def test_assignment_llm_shares_one_policy(stub_gateway):
@@ -304,6 +375,20 @@ def test_analyze_holds_one_parsed_log_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(GameLog, "read", classmethod(tracked_read))
     analyze(logs, tmp_path / "report")
     assert len(parsed) == 3
+
+
+def table_with_trades(*trades):
+    rows = [dict.fromkeys(harness.SUMMARY_COLUMNS, "0") for _ in trades]
+    for row, count in zip(rows, trades):
+        row["trades"] = str(count)
+    return render_summary_md(rows)
+
+
+def test_summary_md_bolds_only_a_real_trade_peak():
+    assert "**" not in table_with_trades(0, 0, 0)   # no trades: no peak
+    assert "**" not in table_with_trades(4, 4)      # every row ties
+    assert "**" not in table_with_trades(5)         # one row
+    assert table_with_trades(1, 3, 3, 0).count("**3**") == 2
 
 
 def test_summary_row_formatting():

@@ -33,7 +33,6 @@ from gridarena.policy import (
     available_actions,
     build_prompt,
     build_proposal_prompt,
-    context_for,
     derive_policy_seed,
     make_scripted,
     parse_verdict,
@@ -119,9 +118,9 @@ Respond with ACCEPT or REJECT only."""
 
 
 def test_survival_prompt_renders_byte_stably():
-    context = context_for(survival_observation())
-    assert build_prompt(context) == SURVIVAL_PROMPT
-    assert build_prompt(context) == build_prompt(context)
+    obs = survival_observation()
+    assert build_prompt(obs) == SURVIVAL_PROMPT
+    assert build_prompt(obs) == build_prompt(obs)
 
 
 def test_mating_prompt_adds_role_messages_and_actions():
@@ -129,7 +128,7 @@ def test_mating_prompt_adds_role_messages_and_actions():
                     vitality=8)
     obs = observation(me, messages=[(5, "over here")],
                       variant=VARIANT_SEXUAL_SELECTION)
-    prompt = build_prompt(context_for(obs))
+    prompt = build_prompt(obs)
     assert "- Role: provider" in prompt
     assert "- Vitality: 8 (robust)" in prompt
     assert '- From Agent 5: "over here"' in prompt
@@ -138,8 +137,8 @@ def test_mating_prompt_adds_role_messages_and_actions():
 
 def test_chooser_prompt_omits_reproduce():
     me = make_agent(2, (1, 1), role=ROLE_CHOOSER, vitality=3)
-    prompt = build_prompt(context_for(observation(
-        me, variant=VARIANT_SEXUAL_SELECTION)))
+    prompt = build_prompt(observation(
+        me, variant=VARIANT_SEXUAL_SELECTION))
     assert "REPRODUCE" not in prompt
     assert "COMMUNICATE [message]" in prompt
 
@@ -165,8 +164,8 @@ def banned_word_hits(text):
 def test_prompts_contain_no_steering_language():
     prompts = [SURVIVAL_PROMPT, PROPOSAL_PROMPT]
     me = make_agent(0, (0, 0), role=ROLE_PROVIDER)
-    prompts.append(build_prompt(context_for(observation(
-        me, variant=VARIANT_SEXUAL_SELECTION))))
+    prompts.append(build_prompt(observation(
+        me, variant=VARIANT_SEXUAL_SELECTION)))
     for prompt in prompts:
         assert banned_word_hits(prompt) == []
 
@@ -208,13 +207,9 @@ class Echo(Policy):
     def __init__(self):
         self.seen = []
 
-    def decide(self, context):
-        self.seen.append(context.observation.agent.id)
+    def decide(self, obs):
+        self.seen.append(obs.agent.id)
         return PolicyDecision(action=REST)
-
-
-def contexts_for(ids):
-    return {i: context_for(observation(make_agent(i, (0, 0)))) for i in ids}
 
 
 def observations_for(ids):
@@ -246,8 +241,8 @@ def test_policy_map_returns_decisions_in_full():
 
 def test_policy_map_isolates_per_agent_faults():
     class Flaky(Policy):
-        def decide(self, context):
-            if context.observation.agent.id == 2:
+        def decide(self, obs):
+            if obs.agent.id == 2:
                 raise ValueError("bad agent")
             return PolicyDecision(action=REST)
 
@@ -278,7 +273,7 @@ def test_derive_policy_seed_is_stable_and_distinct():
 
 def decide(name, obs, config=None):
     policy = make_scripted(name, obs.agent.id, config or small_config())
-    return policy.decide(context_for(obs)).action
+    return policy.decide(obs).action
 
 
 def test_make_scripted_rejects_unknown_names():
@@ -396,7 +391,7 @@ def test_llm_policy_parses_and_falls_back(stub_gateway):
 
     def ctx(agent_id, note):
         me = make_agent(agent_id, (0, 0))
-        return context_for(observation(me, recent=[note]))
+        return observation(me, recent=[note])
 
     good = policy.decide(ctx(0, "good"))
     assert good.action == GATHER and good.parse_status == "ok"
@@ -412,8 +407,8 @@ def test_llm_policy_batch_isolates_gateway_errors(stub_gateway):
     stub_gateway.status_script = [500, 500, 500, 500, 500]  # exhaust retries
     policy = LLMPolicy(gateway_config(stub_gateway, max_retries=1,
                                       max_concurrency=1))
-    contexts = [context_for(observation(make_agent(i, (0, 0)))) for i in (0, 1)]
-    first, second = policy.decide_batch(contexts)
+    observations = [observation(make_agent(i, (0, 0))) for i in (0, 1)]
+    first, second = policy.decide_batch(observations)
     assert isinstance(first, Exception)
     assert isinstance(second, Exception) or second.action == GATHER
 

@@ -1,7 +1,14 @@
-"""README's python examples run as written."""
+"""README's python examples run as written, and every line of its policy
+assignment grammar builds a PolicyMap."""
 
 import re
 from pathlib import Path
+
+from gridarena.core import VARIANT_SEXUAL_SELECTION, new_game
+from gridarena.harness import build_policy_map
+from gridarena.policy import SCRIPTED_POLICIES, Policy, PolicyMap
+
+from conftest import gateway_config, small_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +19,26 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def grammar_section():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Policy assignment grammar", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    names = re.search(r"Scripted names: (.*?)\.", section, re.S).group(1)
+    return [line.split()[0] for line in block.splitlines()], re.findall(r"`(\w+)`", names)
+
+
+def test_readme_grammar_lines_build_policy_maps(stub_gateway):
+    forms, names = grammar_section()
+    assert sorted(names) == sorted(SCRIPTED_POLICIES)
+    assert len(forms) == 4
+    for form in forms:
+        for assignment in ([form.replace("<name>", n) for n in names]
+                           if "<name>" in form else [form]):
+            config = small_config(n_agents=8, engine_variant=VARIANT_SEXUAL_SELECTION
+                                  if assignment.startswith("byrole:") else "survival")
+            policy_map = build_policy_map(assignment, config, gateway_config(stub_gateway))
+            assert isinstance(policy_map, PolicyMap), assignment
+            for agent in new_game(config).agents.values():
+                assert isinstance(policy_map.policy_for(agent), Policy), assignment
