@@ -6,7 +6,9 @@ One turn runs in a fixed order:
 1. upkeep: every living agent loses ``config.upkeep`` food (floor 0);
    agents at 0 food die now.
 2. observations: every surviving agent gets an Observation built from the
-   same post-upkeep snapshot.
+   same post-upkeep snapshot. ``step`` indexes that snapshot once (living
+   agents by cell, each node seen and unseen), so one observation reads
+   only the cells within the observer's vision range.
 3. decisions: policies are consulted in batch; a policy failure substitutes
    REST and logs a policy_fault record.
 4. resolution: queued actions resolve one at a time in a seeded-random
@@ -112,22 +114,68 @@ def quantize(value: int, width: int) -> int:
     return (value + width // 2) // width * width
 
 
-def observe(state: GameState, agent_id: int) -> Observation:
+@dataclass(frozen=True)
+class SightIndex:
+    """What every observation of one turn shares, read from one state and
+    never changed: the living agents by cell and each node as seen from
+    within and beyond vision range."""
+
+    alive: list[AgentState]  # roster order
+    cells: dict[tuple[int, int], list[int]]  # cell -> positions in ``alive``
+    hidden: tuple[ObservedNode, ...]
+    seen: tuple[ObservedNode, ...]
+
+
+def sight_index(state: GameState) -> SightIndex:
+    """Index ``state`` for ``observe``: O(agents + nodes)."""
+    alive = state.alive_agents()
+    cells: dict[tuple[int, int], list[int]] = {}
+    for rank, agent in enumerate(alive):
+        cells.setdefault(agent.pos, []).append(rank)
+    return SightIndex(
+        alive=alive,
+        cells=cells,
+        hidden=tuple(ObservedNode(pos=node.pos, kind=node.kind, stock=None)
+                     for node in state.nodes),
+        seen=tuple(ObservedNode(pos=node.pos, kind=node.kind, stock=node.stock)
+                   for node in state.nodes),
+    )
+
+
+def observe(state: GameState, agent_id: int, index: SightIndex | None = None) -> Observation:
     """Build one agent's view of the current state.
 
     Other agents are visible within Chebyshev distance 2; their resources
     are quantized to buckets of width max(1, 8 - SOC_observer) and their
-    attributes are hidden unless currently revealed.
+    attributes are hidden unless currently revealed. ``nearby`` keeps roster
+    order and ``nodes`` keeps ``state.nodes`` order.
+
+    ``index`` must be ``sight_index`` of this same state; ``step`` builds it
+    once per turn, so an observation costs O(cells in vision range + nodes).
+    Without it the call indexes the state itself, which is O(agents + nodes).
     """
+    if index is None:
+        index = sight_index(state)
     agent = state.agents[agent_id]
     sexual = state.config.engine_variant == VARIANT_SEXUAL_SELECTION
     width = max(1, 8 - agent.attrs.SOC)
 
+    ranks: list[int] = []
+    nodes = list(index.hidden)
+    x, y = agent.pos
+    for cx in range(x - VISION_RANGE, x + VISION_RANGE + 1):
+        for cy in range(y - VISION_RANGE, y + VISION_RANGE + 1):
+            cell = (cx, cy)
+            ranks += index.cells.get(cell, ())
+            node = state.node_index.get(cell)
+            if node is not None:
+                nodes[node] = index.seen[node]
+    ranks.sort()
+
     nearby = []
-    for other in state.agents.values():
-        if other.id == agent_id or not other.alive:
-            continue
-        if chebyshev(agent.pos, other.pos) > VISION_RANGE:
+    for rank in ranks:
+        other = index.alive[rank]
+        if other.id == agent_id:
             continue
         nearby.append(NearbyAgent(
             id=other.id,
@@ -139,20 +187,11 @@ def observe(state: GameState, agent_id: int) -> Observation:
             attrs=other.attrs if other.revealed(state.turn) else None,
         ))
 
-    nodes = tuple(
-        ObservedNode(
-            pos=node.pos,
-            kind=node.kind,
-            stock=node.stock if chebyshev(agent.pos, node.pos) <= VISION_RANGE else None,
-        )
-        for node in state.nodes
-    )
-
     me = replace(agent, train_progress=dict(agent.train_progress))
     return Observation(
         agent=me,
         nearby=tuple(nearby),
-        nodes=nodes,
+        nodes=tuple(nodes),
         recent_actions=tuple(state.recent_actions.get(agent_id, ())),
         messages=tuple(state.inbox.get(agent_id, ())),
         turn=state.turn,
@@ -402,7 +441,8 @@ def step(state: GameState, policies: Any) -> list[dict[str, Any]]:
     return the turn's records."""
 
     def decide(actors: list[int]) -> dict[int, Plan]:
-        observations = {aid: observe(state, aid) for aid in actors}
+        index = sight_index(state)
+        observations = {aid: observe(state, aid, index) for aid in actors}
         decisions = policies.decide_all(observations) if actors else {}
         return {aid: _plan(decisions.get(aid)) for aid in actors}
 

@@ -304,6 +304,8 @@ def run_experiment(preset: "str | Preset | GameConfig",
                 "entropy_norm": summary.entropy_norm,
                 "total_actions": summary.total_actions,
                 "births": summary.births,
+                "fallbacks": summary.fallbacks,
+                "policy_faults": summary.policy_faults,
                 "action_counts": summary.action_counts,
             },
         }
@@ -312,7 +314,8 @@ def run_experiment(preset: "str | Preset | GameConfig",
 
     if echo is not None:
         echo(f"{exp_id}: {summary.duration} turns, {summary.survivors} survivors, "
-             f"{summary.trades_completed} trades, log sha256 {digest[:12]}")
+             f"{summary.trades_completed} trades, {summary.fallbacks} fallbacks, "
+             f"{summary.policy_faults} policy faults, log sha256 {digest[:12]}")
         if exp_dir is not None:
             echo(f"artifacts in {exp_dir}")
     return ExperimentRecord(experiment_id=exp_id, config=config, log_sha256=digest,
@@ -401,7 +404,8 @@ def sweep(preset: "str | Preset | GameConfig",
 
 SUMMARY_COLUMNS = ("upkeep", "experiment", "trades", "attacks", "survivors",
                    "duration", "social_pct", "entropy", "total_actions",
-                   "births", "reproductions", "communications")
+                   "births", "reproductions", "communications", "fallbacks",
+                   "policy_faults")
 
 
 def summary_row(exp_id: str, config: GameConfig, summary: MetricsSummary) -> dict[str, str]:
@@ -419,6 +423,8 @@ def summary_row(exp_id: str, config: GameConfig, summary: MetricsSummary) -> dic
         "births": str(summary.births),
         "reproductions": str(summary.action_counts.get("REPRODUCE", 0)),
         "communications": str(summary.action_counts.get("COMMUNICATE", 0)),
+        "fallbacks": str(summary.fallbacks),
+        "policy_faults": str(summary.policy_faults),
     }
 
 

@@ -10,7 +10,11 @@ why both are reported.
 Counting rules: trades count accepted outcomes only and attacks count
 successful ones, while social percentage counts TRADE and COMMUNICATE
 attempts regardless of outcome. Actions cancelled because the agent died
-before resolving are excluded everywhere.
+before resolving are excluded everywhere. ``fallbacks`` counts every action
+record whose decision was a fallback (an unparseable reply or a policy
+fault, which plays REST), cancelled ones included; ``policy_faults`` counts
+``policy_fault`` records. Neither changes how entropy is computed: a game
+whose decisions failed shows low entropy, and these two counts say why.
 """
 
 from __future__ import annotations
@@ -116,6 +120,8 @@ class MetricsSummary:
     action_distribution: dict[str, float]
     action_counts: dict[str, int]
     births: int
+    fallbacks: int
+    policy_faults: int
     per_turn: list[tuple[int, float, int]]
 
 
@@ -139,7 +145,16 @@ def summarize(log: GameLog) -> MetricsSummary:
         elif name == "ATTACK" and event["outcome"] == "ok":
             attacks += 1
 
-    births = sum(len(e["births"]) for e in log if e["type"] == "turn_end")
+    births = fallbacks = policy_faults = 0
+    for event in log:
+        kind = event["type"]
+        if kind == "action":
+            fallbacks += bool(event["fallback"])
+        elif kind == "policy_fault":
+            policy_faults += 1
+        elif kind == "turn_end":
+            births += len(event["births"])
+
     distribution = {name: 100.0 * count / total for name, count in counts.items()} if total else {}
     return MetricsSummary(
         trades_completed=trades,
@@ -152,5 +167,7 @@ def summarize(log: GameLog) -> MetricsSummary:
         action_distribution=distribution,
         action_counts=counts,
         births=births,
+        fallbacks=fallbacks,
+        policy_faults=policy_faults,
         per_turn=per_turn_entropy(log),
     )

@@ -1,8 +1,12 @@
 """Turn mechanics: upkeep, observation, each action resolver, turn order,
 termination, and fault isolation."""
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from gridarena import engine
 from gridarena.actions import (
     Attack,
     Communicate,
@@ -13,20 +17,34 @@ from gridarena.actions import (
     Trade,
     Train,
 )
-from gridarena.core import VARIANT_SEXUAL_SELECTION, new_game
+from gridarena.core import (
+    ROLE_CHOOSER,
+    ROLE_NONE,
+    ROLE_PROVIDER,
+    VARIANT_SEXUAL_SELECTION,
+    VARIANTS,
+    VISION_RANGE,
+    Attributes,
+    chebyshev,
+    new_game,
+)
 from gridarena.engine import (
+    NearbyAgent,
     Observation,
+    ObservedNode,
     apply_upkeep,
     check_termination,
     observe,
     quantize,
     resolve_action,
     run_game,
+    sight_index,
     step,
     sweep_deaths,
     trade_accept_probability,
 )
 from gridarena.gamelog import Delta
+from gridarena.harness import PRESETS, build_policy_map
 from gridarena.policy import Policy, PolicyDecision, PolicyMap, make_scripted
 
 from conftest import (
@@ -136,6 +154,143 @@ def test_observation_reveal_window():
     seen = observe(state, 0).nearby[0]
     assert seen.role == "provider" and seen.vitality == 9  # public in this variant
     assert seen.attrs is None
+
+
+def scan_observe(state, agent_id):
+    """Reference observation: scan the whole roster and every node, keeping
+    what lies within Chebyshev distance ``VISION_RANGE``."""
+    agent = state.agents[agent_id]
+    sexual = state.config.engine_variant == VARIANT_SEXUAL_SELECTION
+    width = max(1, 8 - agent.attrs.SOC)
+    nearby = tuple(
+        NearbyAgent(id=other.id, pos=other.pos,
+                    approx_food=quantize(other.food, width),
+                    approx_tokens=quantize(other.tokens, width),
+                    role=other.role if sexual else None,
+                    vitality=other.vitality if sexual else None,
+                    attrs=other.attrs if other.revealed(state.turn) else None)
+        for other in state.agents.values()
+        if other.id != agent_id and other.alive
+        and chebyshev(agent.pos, other.pos) <= VISION_RANGE)
+    nodes = tuple(
+        ObservedNode(pos=node.pos, kind=node.kind,
+                     stock=node.stock if chebyshev(agent.pos, node.pos) <= VISION_RANGE
+                     else None)
+        for node in state.nodes)
+    return Observation(
+        agent=replace(agent, train_progress=dict(agent.train_progress)),
+        nearby=nearby, nodes=nodes,
+        recent_actions=tuple(state.recent_actions.get(agent_id, ())),
+        messages=tuple(state.inbox.get(agent_id, ())),
+        turn=state.turn, variant=state.config.engine_variant)
+
+
+@st.composite
+def sight_worlds(draw):
+    """A small world as plain data: grids down to one cell wide, cells
+    stacked up to capacity, dead agents, ids that need not start at 0 and a
+    roster whose order is not id order."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    capacity = draw(st.integers(1, 3))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    slots = [cell for cell in cells for _ in range(capacity)]  # stacks fill in order
+    n_agents = draw(st.integers(1, min(14, len(slots))))
+    first_id = draw(st.integers(0, 40))
+    ids = draw(st.permutations(range(first_id, first_id + n_agents)))
+    taken = draw(st.lists(st.integers(0, len(slots) - 1), min_size=n_agents,
+                          max_size=n_agents, unique=True))
+    agents = [dict(id=aid, pos=slots[slot], alive=draw(st.booleans()),
+                   soc=draw(st.integers(1, 10)), food=draw(st.integers(0, 70)),
+                   tokens=draw(st.integers(0, 20)),
+                   revealed_until=draw(st.integers(0, 6)),
+                   role=draw(st.sampled_from([ROLE_NONE, ROLE_PROVIDER, ROLE_CHOOSER])),
+                   vitality=draw(st.integers(1, 10)))
+              for aid, slot in zip(ids, taken)]
+    node_cells = draw(st.lists(st.sampled_from(cells), unique=True,
+                               max_size=min(6, len(cells))))
+    nodes = [dict(pos=cell, kind=draw(st.sampled_from(["food", "token"])),
+                  stock=draw(st.integers(0, 15)))
+             for cell in node_cells]
+    return dict(width=width, height=height, capacity=capacity,
+                variant=draw(st.sampled_from(VARIANTS)), turn=draw(st.integers(0, 6)),
+                agents=agents, nodes=nodes)
+
+
+def build_world(world):
+    agents = [make_agent(spec["id"], spec["pos"],
+                         attrs=Attributes(STR=3, SPD=3, INT=3, SOC=spec["soc"], END=3, CHA=3),
+                         alive=spec["alive"], food=spec["food"], tokens=spec["tokens"],
+                         revealed_until=spec["revealed_until"], role=spec["role"],
+                         vitality=spec["vitality"])
+              for spec in world["agents"]]
+    nodes = [(food_node if spec["kind"] == "food" else token_node)(spec["pos"], stock=spec["stock"])
+             for spec in world["nodes"]]
+    config = small_config(grid_width=world["width"], grid_height=world["height"],
+                          cell_capacity=world["capacity"], engine_variant=world["variant"],
+                          n_agents=len(agents), n_food_nodes=0, n_token_nodes=0)
+    state = make_state(agents, nodes=nodes, config=config)
+    state.turn = world["turn"]
+    return state
+
+
+STACKED_COLUMN = dict(  # one cell wide, a full stack on the edge, a dead agent
+    width=1, height=5, capacity=3, variant=VARIANT_SEXUAL_SELECTION, turn=3,
+    agents=[dict(id=aid, pos=pos, alive=alive, soc=5, food=20, tokens=4,
+                 revealed_until=until, role=ROLE_PROVIDER, vitality=6)
+            for aid, pos, alive, until in [(9, (0, 4), True, 3), (7, (0, 4), True, 2),
+                                           (8, (0, 4), False, 0), (12, (0, 1), True, 5)]],
+    nodes=[dict(pos=(0, 4), kind="food", stock=6), dict(pos=(0, 0), kind="token", stock=2)])
+
+
+@given(sight_worlds())
+@example(STACKED_COLUMN)
+def test_observe_equals_the_roster_scan(world):
+    state = build_world(world)
+    index = sight_index(state)
+    for agent_id in state.agents:
+        expected = scan_observe(state, agent_id)
+        assert observe(state, agent_id) == expected
+        assert observe(state, agent_id, index) == expected
+
+
+def test_step_builds_one_sight_index_per_turn(monkeypatch):
+    built = []
+    index = engine.sight_index
+    monkeypatch.setattr(engine, "sight_index",
+                        lambda state: built.append(state.turn) or index(state))
+    config = small_config(n_agents=6, max_turns=10, upkeep=1)
+    state = new_game(config)
+    policies = PolicyMap(lambda agent: make_scripted("walker", agent.id, config))
+    for _ in range(5):
+        step(state, policies)
+    assert built == [0, 1, 2, 3, 4]
+
+
+class ObservationCheck:
+    """Wraps a policy map and checks, before it decides, that each
+    observation ``step`` built equals ``observe`` without an index."""
+
+    def __init__(self, policies, state):
+        self.policies, self.state, self.observers = policies, state, set()
+
+    def decide_all(self, observations):
+        for agent_id, obs in observations.items():
+            assert obs == observe(self.state, agent_id)
+        self.observers.update(observations)
+        return self.policies.decide_all(observations)
+
+    def evaluate_proposal(self, chooser, view):
+        return self.policies.evaluate_proposal(chooser, view)
+
+
+def test_step_observations_equal_unindexed_observe_in_a_game_with_births():
+    preset = PRESETS["V7"]
+    config = replace(preset.config, seed=1)
+    state = new_game(config)
+    check = ObservationCheck(build_policy_map(preset.policy_assignment, config), state)
+    log = run_game(state, check)
+    assert sum(len(e["births"]) for e in log if e["type"] == "turn_end") > 0
+    assert any(agent_id >= config.n_agents for agent_id in check.observers)  # offspring
 
 
 # --------------------------------------------------------------------------

@@ -278,6 +278,11 @@ def test_single_deletions_never_escape_as_bare_errors(tmp_path):
      "b0f8856ea13eca10e43d46d096293fa9d36eacc7026ff48402ae432c719e8ece"),
     ("V7", None, 1, None,
      "aeb23f35183f534972d647537f54b6ec366b355a8427aa67f072c04f739f01a2"),
+    # crowd-sized: stacked cells, and a vision range smaller than the grid
+    ("P1", {"grid_width": 24, "grid_height": 24, "n_food_nodes": 44,
+            "n_token_nodes": 22, "n_agents": 144, "upkeep": 1, "max_turns": 40}, 1,
+     "mixed:0-35=aggressor,36-71=trader,72-107=walker,*=greedy",
+     "6edaa1bdc1f32eb31276b70923d1aceab498422326672d8b224a0b70d93717c7"),
 ])
 def test_log_bytes_are_pinned(preset, overrides, seed, policies, digest):
     """Engine changes must leave these logs byte for byte as they were."""

@@ -248,6 +248,25 @@ def test_run_experiment_echoes_resolved_config():
     assert "policies: scripted:greedy" in text
 
 
+def test_unparseable_replies_are_reported_as_fallbacks(stub_gateway, tmp_path):
+    stub_gateway.responder = lambda prompt: "hold position"
+    lines = []
+    record = run_small(policies="llm", gateway=gateway_config(stub_gateway),
+                       out_dir=tmp_path, echo=lines.append)
+    decisions = [e for e in GameLog.read(record.log_path) if e["type"] == "action"]
+    assert decisions and all(e["action"] == "REST" for e in decisions)
+    assert record.summary.fallbacks == len(decisions)
+    assert record.summary.policy_faults == 0
+
+    stored = json.loads((record.out_dir / "record.json").read_text())["summary"]
+    assert (stored["fallbacks"], stored["policy_faults"]) == (len(decisions), 0)
+    with open(record.out_dir / "summary.csv", newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["fallbacks"], row["policy_faults"]) == (str(len(decisions)), "0")
+    assert f"| {len(decisions)} | 0 |" in (record.out_dir / "summary.md").read_text()
+    assert f"{len(decisions)} fallbacks, 0 policy faults" in lines[-2]
+
+
 def test_run_experiment_reruns_are_identical(tmp_path):
     first = run_small(out_dir=tmp_path / "a")
     second = run_small(out_dir=tmp_path / "b")
@@ -317,7 +336,7 @@ def test_analyze_report_bundle(tmp_path):
         assert set(row) == {"upkeep", "experiment", "trades", "attacks",
                             "survivors", "duration", "social_pct", "entropy",
                             "total_actions", "births", "reproductions",
-                            "communications"}
+                            "communications", "fallbacks", "policy_faults"}
         float(row["entropy"])
 
     with open(report.distribution_csv, newline="") as fh:

@@ -15,7 +15,7 @@ from gridarena.metrics import (
     per_turn_entropy,
     summarize,
 )
-from gridarena.policy import PolicyMap, make_scripted
+from gridarena.policy import Policy, PolicyMap, make_scripted
 
 from conftest import small_config
 
@@ -99,6 +99,7 @@ def test_summarize_basic_shape():
     assert summary.survivors == 4
     assert summary.total_actions == sum(summary.action_counts.values())
     assert summary.births == 0
+    assert summary.fallbacks == summary.policy_faults == 0
     total_pct = sum(summary.action_distribution.values())
     assert total_pct == pytest.approx(100.0)
     assert summary.entropy_norm == pytest.approx(
@@ -114,6 +115,26 @@ def test_summarize_counts_social_attempts():
         expected = 100.0 * trade_attempts / summary.total_actions
         assert summary.social_action_pct == pytest.approx(expected)
         assert summary.trades_completed <= trade_attempts
+
+
+class RaisesForEvenIds(Policy):
+    def __init__(self, config):
+        self.config = config
+
+    def decide(self, obs):
+        if obs.agent.id % 2 == 0:
+            raise RuntimeError("policy crashed")
+        return make_scripted("greedy", obs.agent.id, self.config).decide(obs)
+
+
+def test_summarize_counts_policy_faults_and_their_fallbacks():
+    config = small_config(n_agents=4, max_turns=6, upkeep=0)
+    policy = RaisesForEvenIds(config)
+    log = run_game(new_game(config), PolicyMap(lambda a: policy))
+    summary = summarize(log)
+    even_actions = [e for e in log if e["type"] == "action" and e["agent_id"] % 2 == 0]
+    assert summary.policy_faults == len(even_actions) == 2 * 6
+    assert summary.fallbacks == summary.policy_faults  # greedy never falls back
 
 
 def test_summarize_requires_end_record():
