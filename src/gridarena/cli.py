@@ -96,19 +96,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sweep_values(text: str | None) -> list[object] | None:
+def _parse_sweep_values(text: str | None) -> list[str] | None:
+    """Split ``--values``; ``GameConfig.parse`` reads each value."""
     if text is None:
         return None
-    values: list[object] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            values.append(int(part))
-        except ValueError:
-            values.append(part)
-    return values
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

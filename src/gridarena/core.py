@@ -10,7 +10,10 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from contextlib import suppress
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 VARIANT_SURVIVAL = "survival"
 VARIANT_SEXUAL_SELECTION = "sexual_selection"
@@ -76,8 +79,10 @@ def vitality_band(vitality: int) -> str:
 class GameConfig:
     """Complete run configuration; every field lands in the log header.
 
-    Serialized flat as ``key=value`` lines in field order. Defaults describe
-    a 9x9 survival game of 16 agents at upkeep 2.
+    Its outside form is the mapping ``as_dict`` writes and ``parse`` reads;
+    every source (a flat file, CLI overrides, a log header) is read through
+    ``parse``. Serialized flat as ``key=value`` lines in field order.
+    Defaults describe a 9x9 survival game of 16 agents at upkeep 2.
     """
 
     grid_width: int = 9
@@ -94,11 +99,7 @@ class GameConfig:
     seed: int = 42
     llm_concurrency: int = 4
 
-    FIELDS = (
-        "grid_width", "grid_height", "n_food_nodes", "n_token_nodes",
-        "food_regen", "token_regen", "upkeep", "max_turns", "n_agents",
-        "engine_variant", "cell_capacity", "seed", "llm_concurrency",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # the field names in order, set below the class
 
     @property
     def area(self) -> int:
@@ -151,13 +152,39 @@ class GameConfig:
             raise ConfigError(problems)
         return self
 
+    def as_dict(self) -> dict[str, object]:
+        """The config's outside form: each field name and value, in field order."""
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    @classmethod
+    def parse(cls, values: Mapping[str, object]) -> "GameConfig":
+        """Read a config's outside form: a mapping that names every field
+        once. Text becomes an int for every field but ``engine_variant``; any
+        other value must already have its field's type, which ``validate``
+        checks, so 2.7 is never played as 2."""
+        if not isinstance(values, Mapping):
+            raise ConfigError([f"config must be a mapping, got {type(values).__name__}"])
+        problems = [f"unknown key {key!r}" for key in values if key not in cls.FIELDS]
+        missing = [name for name in cls.FIELDS if name not in values]
+        if missing:
+            problems.append("missing keys: " + ", ".join(missing))
+        if problems:
+            raise ConfigError(problems)
+        typed = dict(values)
+        for key, value in values.items():
+            if isinstance(value, str) and key != "engine_variant":
+                with suppress(ValueError):  # validate names text that is not an int
+                    typed[key] = int(value)
+        return cls(**typed).validate()
+
     def to_flat_text(self) -> str:
-        lines = [f"{name}={getattr(self, name)}" for name in self.FIELDS]
+        lines = [f"{name}={value}" for name, value in self.as_dict().items()]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_flat_text(cls, text: str) -> "GameConfig":
-        """Parse ``key=value`` lines. Unknown, duplicate, or missing keys are fatal."""
+        """Parse ``key=value`` lines (blanks and ``#`` comments skipped); a
+        malformed line or a duplicate key is fatal, and ``parse`` checks the rest."""
         problems = []
         seen: dict[str, str] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,29 +196,13 @@ class GameConfig:
                 continue
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in cls.FIELDS:
-                problems.append(f"line {lineno}: unknown key {key!r}")
-            elif key in seen:
+            if key in seen:
                 problems.append(f"line {lineno}: duplicate key {key!r}")
             else:
                 seen[key] = value
-        missing = [name for name in cls.FIELDS if name not in seen]
-        if missing:
-            problems.append("missing keys: " + ", ".join(missing))
         if problems:
             raise ConfigError(problems)
-        values: dict[str, object] = {}
-        for key, value in seen.items():
-            if key == "engine_variant":
-                values[key] = value
-            else:
-                try:
-                    values[key] = int(value)
-                except ValueError:
-                    problems.append(f"{key} must be an integer, got {value!r}")
-        if problems:
-            raise ConfigError(problems)
-        return cls(**values).validate()  # type: ignore[arg-type]
+        return cls.parse(seen)
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -201,6 +212,9 @@ class GameConfig:
     def read(cls, path) -> "GameConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_flat_text(fh.read())
+
+
+GameConfig.FIELDS = tuple(f.name for f in fields(GameConfig))
 
 
 # --------------------------------------------------------------------------

@@ -234,19 +234,14 @@ def sweep_deaths(state: GameState, delta: Delta,
     return deaths
 
 
-@dataclass(frozen=True)
-class Termination:
-    running: bool
-    reason: str | None
-
-
-def check_termination(state: GameState) -> Termination:
-    """Last-survivor (one or zero agents left) is checked before max_turns."""
+def check_termination(state: GameState) -> str | None:
+    """The reason the game ends, or None while it runs. Last-survivor (one
+    or zero agents left) is checked before max_turns."""
     if len(state.alive_agents()) <= 1:
-        return Termination(False, "last_survivor")
+        return "last_survivor"
     if state.turn >= state.config.max_turns:
-        return Termination(False, "max_turns")
-    return Termination(True, None)
+        return "max_turns"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -453,10 +448,7 @@ def run_game(state: GameState, policies: Any) -> GameLog:
     """Step ``state`` to termination and return the complete event log."""
     log = GameLog()
     log.append(header_event(state))
-    while True:
-        term = check_termination(state)
-        if not term.running:
-            break
+    while (reason := check_termination(state)) is None:
         log.extend(step(state, policies))
-    log.append(end_event(state, term.reason or "max_turns"))
+    log.append(end_event(state, reason))
     return log

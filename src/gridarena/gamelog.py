@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .actions import REST, parse_action
-from .core import AgentState, GameConfig, GameState, ResourceNode, new_game
+from .core import AgentState, ConfigError, GameConfig, GameState, ResourceNode, new_game
 
 LOG_VERSION = 1
 
@@ -126,15 +126,11 @@ def node_snapshot(node: ResourceNode) -> dict[str, Any]:
     }
 
 
-def config_snapshot(config: GameConfig) -> dict[str, Any]:
-    return {name: getattr(config, name) for name in GameConfig.FIELDS}
-
-
 def header_event(state: GameState) -> dict[str, Any]:
     return {
         "type": "header",
         "version": LOG_VERSION,
-        "config": config_snapshot(state.config),
+        "config": state.config.as_dict(),
         "agents": [agent_snapshot(a) for a in state.agents.values()],
         "nodes": [node_snapshot(n) for n in state.nodes],
     }
@@ -199,7 +195,11 @@ class GameLog:
         return self.events[-1]
 
     def config(self) -> GameConfig:
-        return GameConfig(**self.header["config"])
+        """The header's config, read by ``GameConfig.parse``."""
+        try:
+            return GameConfig.parse(self.header["config"])
+        except ConfigError as exc:
+            raise LogError("line 1 (header): " + "; ".join(exc.problems)) from exc
 
     def lines(self) -> Iterator[str]:
         return (_dumps(e) for e in self.events)
@@ -337,18 +337,19 @@ def replay(log: GameLog) -> ReplayResult:
     if events[-1]["type"] != "end":
         raise ReplayError("log does not finish with an end record")
     script = _Script(events)
+    config = log.config()
     try:
         # the header's own snapshots bound the set-up work by the size of the log
-        header, config = events[0], events[0]["config"]
-        if (len(header["agents"]) != config["n_agents"]
-                or len(header["nodes"]) != config["n_food_nodes"] + config["n_token_nodes"]):
+        header = events[0]
+        if (len(header["agents"]) != config.n_agents
+                or len(header["nodes"]) != config.n_food_nodes + config.n_token_nodes):
             raise ReplayError(f"{script.where()}: snapshot counts differ from the config")
-        state = new_game(GameConfig(**config))
+        state = new_game(config)
         script.check(header_event(state))
-        while (term := engine.check_termination(state)).running:
+        while (reason := engine.check_termination(state)) is None:
             for record in engine.play_turn(state, script, script.plans):
                 script.check(record)
-        script.check(end_event(state, term.reason or "max_turns"))
+        script.check(end_event(state, reason))
     except ReplayError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
@@ -357,7 +358,7 @@ def replay(log: GameLog) -> ReplayResult:
     if script.at != len(events):
         raise ReplayError(f"{script.where()}: record after the end of the game")
     return ReplayResult(turns=state.turn, events=len(events),
-                        survivors=len(state.alive_agents()), reason=term.reason or "max_turns")
+                        survivors=len(state.alive_agents()), reason=reason)
 
 
 # --------------------------------------------------------------------------

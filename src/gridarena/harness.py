@@ -24,9 +24,9 @@ from typing import Any, Callable, Mapping, Sequence
 from .core import (AgentState, ConfigError, GameConfig, ROLE_CHOOSER, ROLE_PROVIDER,
                    VARIANT_SEXUAL_SELECTION, new_game)
 from .engine import run_game
-from .gamelog import GameLog
+from .gamelog import GameLog, LogError
 from .gateway import GatewayConfig
-from .metrics import ACTION_TYPES, MetricsSummary, summarize
+from .metrics import ACTION_TYPES, MetricsError, MetricsSummary, summarize
 from .policy import LLMPolicy, Policy, PolicyMap, SCRIPTED_POLICIES, make_scripted
 
 
@@ -204,22 +204,12 @@ def experiment_id_for(config: GameConfig) -> str:
 
 def resolve_config(preset: Preset, overrides: Mapping[str, Any],
                    seed: int | None) -> GameConfig:
-    unknown = sorted(set(overrides) - set(GameConfig.FIELDS))
-    if unknown:
-        raise ConfigError([f"unknown config key {key!r}" for key in unknown])
-    values = dict(overrides) if seed is None else {**overrides, "seed": seed}
-    problems = []
-    # Text (CLI input) is converted; any other value must already have its
-    # field's type, which ``validate`` checks, so 2.7 is never played as 2.
-    for key, value in values.items():
-        if isinstance(value, str) and key != "engine_variant":
-            try:
-                values[key] = int(value)
-            except ValueError:
-                problems.append(f"{key} must be an integer, got {value!r}")
-    if problems:
-        raise ConfigError(problems)
-    return replace(preset.config, **values).validate()
+    """The preset's config with ``overrides`` (and ``seed``, if given) merged
+    in, read by ``GameConfig.parse``."""
+    values = {**preset.config.as_dict(), **overrides}
+    if seed is not None:
+        values["seed"] = seed
+    return GameConfig.parse(values)
 
 
 def _make_experiment_dir(root: Path, preset_name: str, exp_id: str) -> Path:
@@ -294,7 +284,7 @@ def run_experiment(preset: "str | Preset | GameConfig",
             "policies": assignment,
             "log_sha256": digest,
             "wall_seconds": round(wall, 3),
-            "config": {name: getattr(config, name) for name in GameConfig.FIELDS},
+            "config": config.as_dict(),
             "summary": {
                 "trades_completed": summary.trades_completed,
                 "attacks": summary.attacks,
@@ -492,9 +482,16 @@ def analyze(log_paths: Sequence["str | Path"], out_dir: "str | Path") -> Analysi
 
 
 def _summarize_file(path: "str | Path") -> tuple[str, GameConfig, MetricsSummary]:
-    log = GameLog.read(path)
-    config = log.config()
-    return experiment_id_for(config), config, summarize(log)
+    """Read and summarise one log; a log too malformed to read is a LogError
+    naming the file, never a bare error."""
+    try:
+        log = GameLog.read(path)
+        config = log.config()
+        return experiment_id_for(config), config, summarize(log)
+    except (LogError, MetricsError):
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise LogError(f"{path}: malformed log ({type(exc).__name__}: {exc})") from exc
 
 
 def _write_report(games: Sequence[tuple[str, GameConfig, MetricsSummary]],

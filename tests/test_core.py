@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gridarena.core import (
     ATTRIBUTE_NAMES,
@@ -21,6 +21,8 @@ from gridarena.core import (
     round_half_up,
     vitality_band,
 )
+from gridarena.gamelog import GameLog, header_event
+from gridarena.harness import resolve_config, resolve_preset
 
 from conftest import small_config
 
@@ -131,6 +133,46 @@ def test_flat_text_rejects_malformed(mutate, fragment):
     with pytest.raises(ConfigError) as excinfo:
         GameConfig.from_flat_text(text)
     assert any(fragment in p for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize("values,fragment", [
+    ([("upkeep", 2)], "must be a mapping"),
+    ({**GameConfig().as_dict(), "mystery": 1}, "unknown key 'mystery'"),
+    ({k: v for k, v in GameConfig().as_dict().items() if k != "upkeep"},
+     "missing keys: upkeep"),
+    ({**GameConfig().as_dict(), "upkeep": "two"}, "upkeep must be an integer, got 'two'"),
+])
+def test_parse_rejects(values, fragment):
+    with pytest.raises(ConfigError) as excinfo:
+        GameConfig.parse(values)
+    assert any(fragment in p for p in excinfo.value.problems)
+
+
+@st.composite
+def valid_configs(draw):
+    variant = draw(st.sampled_from(["survival", VARIANT_SEXUAL_SELECTION]))
+    agents = draw(st.integers(0, 12))
+    config = GameConfig(
+        grid_width=draw(st.integers(1, 12)), grid_height=draw(st.integers(1, 12)),
+        n_food_nodes=draw(st.integers(0, 4)), n_token_nodes=draw(st.integers(0, 4)),
+        food_regen=draw(st.integers(1, 5)), token_regen=draw(st.integers(1, 5)),
+        upkeep=draw(st.integers(0, 20)), max_turns=draw(st.integers(0, 100)),
+        n_agents=agents - agents % 2 if variant == VARIANT_SEXUAL_SELECTION else agents,
+        engine_variant=variant, cell_capacity=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)), llm_concurrency=draw(st.integers(1, 8)))
+    assume(not config.problems())
+    return config
+
+
+@given(valid_configs())
+def test_every_config_source_reads_back_the_same_config(config):
+    """A file, a mapping, text overrides and a new game's log header all go
+    through ``GameConfig.parse`` and give back the config that wrote them."""
+    text = {name: str(value) for name, value in config.as_dict().items()}
+    assert GameConfig.from_flat_text(config.to_flat_text()) == config
+    assert GameConfig.parse(config.as_dict()) == config
+    assert resolve_config(resolve_preset(config), text, None) == config
+    assert GameLog([header_event(new_game(config))]).config() == config
 
 
 def test_config_file_round_trip(tmp_path):

@@ -538,16 +538,14 @@ def test_termination_reasons():
     solo = make_state([make_agent(0, (0, 0))],
                       config=small_config(n_agents=1, max_turns=4,
                                           n_food_nodes=0, n_token_nodes=0))
-    term = check_termination(solo)
-    assert not term.running and term.reason == "last_survivor"
+    assert check_termination(solo) == "last_survivor"
 
     pair = make_state([make_agent(0, (0, 0)), make_agent(1, (1, 1))],
                       config=small_config(n_agents=2, max_turns=4,
                                           n_food_nodes=0, n_token_nodes=0))
-    assert check_termination(pair).running
+    assert check_termination(pair) is None
     pair.turn = 4
-    term = check_termination(pair)
-    assert not term.running and term.reason == "max_turns"
+    assert check_termination(pair) == "max_turns"
 
 
 def test_run_game_ends_with_end_record():

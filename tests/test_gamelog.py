@@ -16,7 +16,7 @@ from gridarena.gamelog import (
     ReplayError,
     replay,
 )
-from gridarena.harness import run_experiment
+from gridarena.harness import analyze, run_experiment
 from gridarena.metrics import MetricsError, summarize
 from gridarena.policy import Policy, PolicyMap, make_scripted
 
@@ -357,6 +357,29 @@ def test_replay_rejects_header_that_new_game_does_not_build():
     records[0]["agents"][0]["food"] += 1
     with pytest.raises(ReplayError, match=r"line 1 \(header\): agents "):
         replay(log_of(records))
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda config: config.pop("upkeep"), "missing keys: upkeep"),
+    (lambda config: config.update(turbo=1), "unknown key 'turbo'"),
+    (None, "must be a mapping, got list"),
+])
+def test_a_malformed_header_config_is_a_log_error(tmp_path, capsys, edit, fragment):
+    records = records_of(scripted_log())
+    if edit is None:
+        records[0]["config"] = list(records[0]["config"].values())
+    else:
+        edit(records[0]["config"])
+    path = tmp_path / "game.log"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = rf"line 1 \(header\): .*{fragment}"
+    with pytest.raises(LogError, match=message):
+        replay(GameLog.read(path))
+    with pytest.raises(LogError, match=message):
+        analyze([path], tmp_path / "report")
+    assert main(["replay", str(path)]) == 4
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+    assert fragment in capsys.readouterr().err
 
 
 class Unreachable(Policy):

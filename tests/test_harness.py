@@ -1,8 +1,10 @@
 """Presets, policy assignment parsing, run artifacts, sweeps, reports, CLI."""
 
+import copy
 import csv
 import hashlib
 import json
+import random
 import weakref
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from gridarena import gamelog, harness, metrics
 from gridarena.cli import main
 from gridarena.core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION, new_game
-from gridarena.gamelog import GameLog
+from gridarena.gamelog import GameLog, LogError
 from gridarena.harness import (
     PRESETS,
     analyze,
@@ -23,7 +25,7 @@ from gridarena.harness import (
     summary_row,
     sweep,
 )
-from gridarena.metrics import summarize
+from gridarena.metrics import MetricsError, summarize
 from gridarena.policy import (
     Aggressor,
     LLMPolicy,
@@ -394,6 +396,58 @@ def test_analyze_holds_one_parsed_log_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(GameLog, "read", classmethod(tracked_read))
     analyze(logs, tmp_path / "report")
     assert len(parsed) == 3
+
+
+def test_analyze_does_not_default_a_missing_header_field(tmp_path):
+    """An upkeep-5 log whose header lost ``upkeep`` was once reported as an
+    upkeep-2 game, the dataclass default, under P1's experiment id."""
+    record = run_experiment("P2b", {"upkeep": 5}, ack_overrides=True, out_dir=tmp_path)
+    lines = record.log_path.read_text().splitlines(keepends=True)
+    assert '"upkeep":5,' in lines[0]
+    record.log_path.write_text(lines[0].replace('"upkeep":5,', "", 1) + "".join(lines[1:]))
+    with pytest.raises(LogError, match=r"line 1 \(header\): missing keys: upkeep"):
+        analyze([record.log_path], tmp_path / "report")
+    assert not (tmp_path / "report" / "curve.csv").exists()
+
+
+def nested_paths(value, path=()):
+    """The key path of every value nested in a decoded record."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, item in children:
+        yield path + (key,)
+        yield from nested_paths(item, path + (key,))
+
+
+def test_analyze_of_an_edited_log_never_escapes_with_a_bare_error(tmp_path):
+    """300 single-value edits of a V7 log (a nested key deleted, or a value
+    set to null, text, a list, an object or true; never a record's type):
+    each log is reported or rejected with LogError/MetricsError."""
+    log_path = run_experiment("V7", seed=3, out_dir=tmp_path).log_path
+    lines = log_path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    edited, rng, escapes = tmp_path / "edited.log", random.Random(3), []
+    for _ in range(300):
+        index = rng.randrange(len(records))
+        record = copy.deepcopy(records[index])
+        path = rng.choice([p for p in nested_paths(record) if p != ("type",)])
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        value = rng.choice(["delete", None, "x", [], {}, True])
+        if value == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        edited.write_text("\n".join([*lines[:index], json.dumps(record),
+                                     *lines[index + 1:]]) + "\n")
+        try:
+            analyze([edited], tmp_path / "report")
+        except (LogError, MetricsError):
+            pass
+        except Exception as exc:
+            escapes.append(f"line {index + 1} {path} -> {value!r}: {exc!r}")
+    assert not escapes, escapes[:5]
 
 
 def table_with_trades(*trades):

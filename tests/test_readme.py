@@ -1,10 +1,10 @@
-"""README's python examples run as written, and every line of its policy
-assignment grammar builds a PolicyMap."""
+"""README's python examples run as written, its config block parses, and
+every line of its policy assignment grammar builds a PolicyMap."""
 
 import re
 from pathlib import Path
 
-from gridarena.core import VARIANT_SEXUAL_SELECTION, new_game
+from gridarena.core import VARIANT_SEXUAL_SELECTION, GameConfig, new_game
 from gridarena.harness import build_policy_map
 from gridarena.policy import SCRIPTED_POLICIES, Policy, PolicyMap
 
@@ -21,10 +21,19 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
         exec(compile(block, str(README), "exec"), {})
 
 
-def grammar_section():
+def readme_section(title):
+    """A README section's text and its first plain code block."""
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Policy assignment grammar", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    section = text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+    return section, re.search(r"```\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_config_block_parses():
+    assert GameConfig.from_flat_text(readme_section("Configuration")[1]).upkeep == 2
+
+
+def grammar_section():
+    section, block = readme_section("Policy assignment grammar")
     names = re.search(r"Scripted names: (.*?)\.", section, re.S).group(1)
     return [line.split()[0] for line in block.splitlines()], re.findall(r"`(\w+)`", names)
 
