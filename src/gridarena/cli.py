@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import ConfigError, GameConfig
 from .gamelog import GameLog, LogError, ReplayError, replay
 from .gateway import GatewayConfig
-from .harness import PRESETS, analyze, run_experiment, sweep
+from .harness import (PRESETS, analyze, require_acknowledged, resolve_config,
+                      run_experiment, sweep)
 from .metrics import MetricsError
 
 
@@ -104,7 +106,11 @@ def _parse_sweep_values(text: str | None) -> list[str] | None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    sweep(args.preset, args.param, _parse_sweep_values(args.values),
+    overrides = _parse_overrides(args.overrides)
+    require_acknowledged(overrides, args.ack_overrides)
+    preset = PRESETS[args.preset]
+    preset = replace(preset, config=resolve_config(preset, overrides, None))
+    sweep(preset, args.param, _parse_sweep_values(args.values),
           seed=args.seed, policies=args.policies, out_dir=args.out,
           parallel=args.parallel, gateway=_gateway_from_args(args), echo=print)
     return 0

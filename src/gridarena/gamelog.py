@@ -259,8 +259,11 @@ class ReplayResult:
     reason: str
 
 
-def _shown(record: dict[str, Any], key: str) -> str:
-    text = json.dumps(record[key]) if key in record else "absent"
+_ABSENT = object()
+
+
+def _shown(value: Any) -> str:
+    text = "absent" if value is _ABSENT else json.dumps(value)
     return text if len(text) <= 120 else text[:117] + "..."
 
 
@@ -278,12 +281,19 @@ class _Script:
         return f"line {index + 1} ({self.events[index]['type']})"
 
     def check(self, produced: dict[str, Any]) -> None:
+        """The record must equal the logged one. A difference is named by
+        its dotted path down through nested objects, stopping at the first
+        list or scalar: ``config.upkeep``, ``delta``."""
         logged = self.events[self.at]
         if logged != produced:
-            key = next(k for k in [*produced, *logged] if k not in logged
-                       or k not in produced or logged[k] != produced[k])
-            raise ReplayError(f"{self.where()}: {key} is {_shown(logged, key)} in the log, "
-                              f"{_shown(produced, key)} on re-execution")
+            path = []
+            while isinstance(logged, dict) and isinstance(produced, dict):
+                key = next(k for k in [*produced, *logged] if k not in logged
+                           or k not in produced or logged[k] != produced[k])
+                path.append(key)
+                logged, produced = logged.get(key, _ABSENT), produced.get(key, _ABSENT)
+            raise ReplayError(f"{self.where()}: {'.'.join(path)} is {_shown(logged)} in the "
+                              f"log, {_shown(produced)} on re-execution")
         self.at += 1
 
     def plans(self, actors: list[int]) -> dict[int, Any]:

@@ -19,7 +19,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (AgentState, ConfigError, GameConfig, ROLE_CHOOSER, ROLE_PROVIDER,
                    VARIANT_SEXUAL_SELECTION, new_game)
@@ -212,6 +212,15 @@ def resolve_config(preset: Preset, overrides: Mapping[str, Any],
     return GameConfig.parse(values)
 
 
+def require_acknowledged(overrides: Mapping[str, Any], ack_overrides: bool) -> None:
+    """Overrides of preset defaults count only when acknowledged."""
+    if overrides and not ack_overrides:
+        raise ConfigError([
+            "overrides change preset defaults: " + ", ".join(sorted(overrides)),
+            "re-run with ack_overrides=True (CLI: --ack-overrides) to confirm",
+        ])
+
+
 def _make_experiment_dir(root: Path, preset_name: str, exp_id: str) -> Path:
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
     base = f"{preset_name}-{exp_id}-{stamp}"
@@ -241,11 +250,7 @@ def run_experiment(preset: "str | Preset | GameConfig",
     """
     chosen = resolve_preset(preset)
     overrides = dict(overrides or {})
-    if overrides and not ack_overrides:
-        raise ConfigError([
-            "overrides change preset defaults: " + ", ".join(sorted(overrides)),
-            "re-run with ack_overrides=True (CLI: --ack-overrides) to confirm",
-        ])
+    require_acknowledged(overrides, ack_overrides)
     config = resolve_config(chosen, overrides, seed)
     if gateway is not None:
         gateway = replace(gateway, max_concurrency=config.llm_concurrency)
@@ -275,9 +280,7 @@ def run_experiment(preset: "str | Preset | GameConfig",
         log_path = exp_dir / "game.log"
         digest = log.write(log_path)
         config.write(exp_dir / "config.txt")
-        row = summary_row(exp_id, config, summary)
-        write_summary_csv([row], exp_dir / "summary.csv")
-        write_summary_md([row], exp_dir / "summary.md")
+        _write_summary_tables([summary_row(exp_id, config, summary)], exp_dir)
         record = {
             "experiment_id": exp_id,
             "preset": chosen.name,
@@ -285,19 +288,7 @@ def run_experiment(preset: "str | Preset | GameConfig",
             "log_sha256": digest,
             "wall_seconds": round(wall, 3),
             "config": config.as_dict(),
-            "summary": {
-                "trades_completed": summary.trades_completed,
-                "attacks": summary.attacks,
-                "survivors": summary.survivors,
-                "duration": summary.duration,
-                "social_action_pct": summary.social_action_pct,
-                "entropy_norm": summary.entropy_norm,
-                "total_actions": summary.total_actions,
-                "births": summary.births,
-                "fallbacks": summary.fallbacks,
-                "policy_faults": summary.policy_faults,
-                "action_counts": summary.action_counts,
-            },
+            "summary": summary.as_record(),
         }
         (exp_dir / "record.json").write_text(json.dumps(record, indent=2) + "\n",
                                              encoding="utf-8")
@@ -418,13 +409,6 @@ def summary_row(exp_id: str, config: GameConfig, summary: MetricsSummary) -> dic
     }
 
 
-def write_summary_csv(rows: list[dict[str, str]], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def render_summary_md(rows: list[dict[str, str]]) -> str:
     """Markdown summary table with the peak trade count bolded. A table with
     no trades, or whose rows all tie, has no peak and bolds nothing."""
@@ -444,22 +428,21 @@ def render_summary_md(rows: list[dict[str, str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_summary_md(rows: list[dict[str, str]], path: Path) -> None:
-    path.write_text(render_summary_md(rows), encoding="utf-8")
-
-
-def write_distribution_csv(entries: list[tuple[str, MetricsSummary]], path: Path) -> None:
-    """Action-distribution table: one column per experiment, one row per
-    action type that occurred anywhere, plus a total_actions row."""
-    present = [name for name in ACTION_TYPES
-               if any(name in s.action_counts for _, s in entries)]
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["action"] + [label for label, _ in entries])
-        for name in present:
-            writer.writerow([name] + [f"{s.action_distribution.get(name, 0.0):.1f}"
-                                      for _, s in entries])
-        writer.writerow(["total_actions"] + [str(s.total_actions) for _, s in entries])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_summary_tables(rows: list[dict[str, str]], out: Path) -> tuple[Path, Path]:
+    """``summary.csv`` and ``summary.md`` in ``out``, for one run or a report."""
+    summary_csv = _write_csv(out / "summary.csv", SUMMARY_COLUMNS,
+                             ([row[column] for column in SUMMARY_COLUMNS] for row in rows))
+    summary_md = out / "summary.md"
+    summary_md.write_text(render_summary_md(rows), encoding="utf-8")
+    return summary_csv, summary_md
 
 
 @dataclass
@@ -482,14 +465,14 @@ def analyze(log_paths: Sequence["str | Path"], out_dir: "str | Path") -> Analysi
 
 
 def _summarize_file(path: "str | Path") -> tuple[str, GameConfig, MetricsSummary]:
-    """Read and summarise one log; a log too malformed to read is a LogError
-    naming the file, never a bare error."""
+    """Read and summarise one log; every error it raises names the file, and
+    a log too malformed to read is a LogError, never a bare error."""
     try:
         log = GameLog.read(path)
         config = log.config()
         return experiment_id_for(config), config, summarize(log)
-    except (LogError, MetricsError):
-        raise
+    except (LogError, MetricsError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise LogError(f"{path}: malformed log ({type(exc).__name__}: {exc})") from exc
 
@@ -510,31 +493,24 @@ def _write_report(games: Sequence[tuple[str, GameConfig, MetricsSummary]],
         labeled.append((label, config, summary))
 
     rows = [summary_row(label, config, summary) for label, config, summary in labeled]
-    summary_csv = out / "summary.csv"
-    summary_md = out / "summary.md"
-    write_summary_csv(rows, summary_csv)
-    write_summary_md(rows, summary_md)
+    summary_csv, summary_md = _write_summary_tables(rows, out)
 
-    distribution_csv = out / "action_distribution.csv"
-    write_distribution_csv([(label, summary) for label, _, summary in labeled],
-                           distribution_csv)
-
-    curve_csv = out / "curve.csv"
-    with open(curve_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["upkeep", "trades", "duration"])
-        for _, config, summary in labeled:
-            writer.writerow([config.upkeep, summary.trades_completed, summary.duration])
-
-    perturn_csvs = []
-    for label, _, summary in labeled:
-        path = out / f"perturn_{label}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["turn", "entropy", "alive"])
-            for turn, entropy, alive in summary.per_turn:
-                writer.writerow([turn, f"{entropy:.4f}", alive])
-        perturn_csvs.append(path)
+    # one column per game; one row per action type that occurred in any game
+    summaries = [summary for _, _, summary in labeled]
+    present = [name for name in ACTION_TYPES
+               if any(name in summary.action_counts for summary in summaries)]
+    distribution = [[name] + [f"{summary.action_distribution.get(name, 0.0):.1f}"
+                              for summary in summaries] for name in present]
+    distribution.append(["total_actions"] + [str(summary.total_actions) for summary in summaries])
+    distribution_csv = _write_csv(out / "action_distribution.csv",
+                                  ["action"] + [label for label, _, _ in labeled], distribution)
+    curve_csv = _write_csv(out / "curve.csv", ["upkeep", "trades", "duration"],
+                           [[config.upkeep, summary.trades_completed, summary.duration]
+                            for _, config, summary in labeled])
+    perturn_csvs = [_write_csv(out / f"perturn_{label}.csv", ["turn", "entropy", "alive"],
+                               [[turn, f"{entropy:.4f}", alive]
+                                for turn, entropy, alive in summary.per_turn])
+                    for label, _, summary in labeled]
 
     return AnalysisReport(summary_csv=summary_csv, summary_md=summary_md,
                           distribution_csv=distribution_csv, curve_csv=curve_csv,

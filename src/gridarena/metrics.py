@@ -20,8 +20,8 @@ whose decisions failed shows low entropy, and these two counts say why.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, fields
+from typing import Any, Iterable, Mapping
 
 from .gamelog import GameLog
 
@@ -56,23 +56,43 @@ def normalized_entropy(action_counts: Mapping[str, float] | Iterable[float]) -> 
     return entropy / math.log(len(values))
 
 
-def _action_lines(log: GameLog) -> Iterable[dict]:
+def _walk(log: GameLog) -> tuple[dict[str, int], dict[str, int], list[tuple[int, float, int]]]:
+    """Everything a log's metrics are counted from, in one pass over its
+    records: resolved actions per type (ACTION_TYPES order), the other
+    counts by name, and the per-turn series. A turn's action records come
+    before its ``turn_end``, so its entropy is taken there."""
+    counts: dict[str, int] = {}
+    tallies = dict.fromkeys(("trades", "attacks", "births", "fallbacks", "policy_faults"), 0)
+    per_turn: dict[int, dict[str, int]] = {}
+    alive = sum(1 for snap in log.header["agents"] if snap["alive"])
+    series = []
     for event in log:
-        if event["type"] == "action" and event["outcome"] != "cancelled_dead":
-            yield event
-
-
-def _action_type(event: dict) -> str:
-    return event["action"].split(" ", 1)[0]
+        kind = event["type"]
+        if kind == "action":
+            tallies["fallbacks"] += bool(event["fallback"])
+            if event["outcome"] == "cancelled_dead":
+                continue
+            name = event["action"].split(" ", 1)[0]
+            counts[name] = counts.get(name, 0) + 1
+            bucket = per_turn.setdefault(event["turn"], {})
+            bucket[name] = bucket.get(name, 0) + 1
+            tallies["trades"] += name == "TRADE" and event["outcome"] == "accepted"
+            tallies["attacks"] += name == "ATTACK" and event["outcome"] == "ok"
+        elif kind == "policy_fault":
+            tallies["policy_faults"] += 1
+        elif kind == "turn_end":
+            turn = event["turn"]
+            tallies["births"] += len(event["births"])
+            alive = alive - len(event["deaths"]) + len(event["births"])
+            turn_counts = per_turn.get(turn, {})
+            entropy = normalized_entropy(turn_counts) if sum(turn_counts.values()) > 1 else 0.0
+            series.append((turn, entropy, alive))
+    return {name: counts[name] for name in ACTION_TYPES if name in counts}, tallies, series
 
 
 def action_counts(log: GameLog) -> dict[str, int]:
     """Raw per-type counts of resolved actions, zero-count types omitted."""
-    counts: dict[str, int] = {}
-    for event in _action_lines(log):
-        name = _action_type(event)
-        counts[name] = counts.get(name, 0) + 1
-    return {name: counts[name] for name in ACTION_TYPES if name in counts}
+    return _walk(log)[0]
 
 
 def per_turn_entropy(log: GameLog) -> list[tuple[int, float, int]]:
@@ -82,23 +102,7 @@ def per_turn_entropy(log: GameLog) -> list[tuple[int, float, int]]:
     with one or zero actions yield 0. alive_count is the population at the
     end of the turn.
     """
-    per_turn: dict[int, dict[str, int]] = {}
-    for event in _action_lines(log):
-        bucket = per_turn.setdefault(event["turn"], {})
-        name = _action_type(event)
-        bucket[name] = bucket.get(name, 0) + 1
-
-    alive = sum(1 for snap in log.header["agents"] if snap["alive"])
-    series = []
-    for event in log:
-        if event["type"] != "turn_end":
-            continue
-        turn = event["turn"]
-        alive = alive - len(event["deaths"]) + len(event["births"])
-        counts = per_turn.get(turn, {})
-        entropy = normalized_entropy(counts) if sum(counts.values()) > 1 else 0.0
-        series.append((turn, entropy, alive))
-    return series
+    return _walk(log)[2]
 
 
 @dataclass(frozen=True)
@@ -117,12 +121,18 @@ class MetricsSummary:
     social_action_pct: float
     entropy_norm: float
     total_actions: int
-    action_distribution: dict[str, float]
-    action_counts: dict[str, int]
     births: int
     fallbacks: int
     policy_faults: int
+    action_counts: dict[str, int]
+    action_distribution: dict[str, float]
     per_turn: list[tuple[int, float, int]]
+
+    def as_record(self) -> dict[str, Any]:
+        """Every field but the distribution and the per-turn series, in
+        field order: the ``summary`` of a run's ``record.json``."""
+        return {field.name: getattr(self, field.name) for field in fields(self)
+                if field.name not in ("action_distribution", "per_turn")}
 
 
 def summarize(log: GameLog) -> MetricsSummary:
@@ -132,42 +142,22 @@ def summarize(log: GameLog) -> MetricsSummary:
     except Exception as exc:
         raise MetricsError(f"log has no termination record: {exc}") from exc
 
-    counts = action_counts(log)
+    counts, tallies, per_turn = _walk(log)
     total = sum(counts.values())
-    trades = 0
-    attacks = 0
-    social = 0
-    for event in _action_lines(log):
-        name = _action_type(event)
-        social += name in SOCIAL_TYPES
-        if name == "TRADE" and event["outcome"] == "accepted":
-            trades += 1
-        elif name == "ATTACK" and event["outcome"] == "ok":
-            attacks += 1
-
-    births = fallbacks = policy_faults = 0
-    for event in log:
-        kind = event["type"]
-        if kind == "action":
-            fallbacks += bool(event["fallback"])
-        elif kind == "policy_fault":
-            policy_faults += 1
-        elif kind == "turn_end":
-            births += len(event["births"])
-
+    social = sum(counts.get(name, 0) for name in SOCIAL_TYPES)
     distribution = {name: 100.0 * count / total for name, count in counts.items()} if total else {}
     return MetricsSummary(
-        trades_completed=trades,
-        attacks=attacks,
+        trades_completed=tallies["trades"],
+        attacks=tallies["attacks"],
         survivors=end["survivors"],
         duration=end["turn"],
         social_action_pct=100.0 * social / total if total else 0.0,
         entropy_norm=normalized_entropy(counts) if total else 0.0,
         total_actions=total,
-        action_distribution=distribution,
+        births=tallies["births"],
+        fallbacks=tallies["fallbacks"],
+        policy_faults=tallies["policy_faults"],
         action_counts=counts,
-        births=births,
-        fallbacks=fallbacks,
-        policy_faults=policy_faults,
-        per_turn=per_turn_entropy(log),
+        action_distribution=distribution,
+        per_turn=per_turn,
     )

@@ -352,6 +352,19 @@ def test_replay_rejects_a_header_number_of_another_type():
         replay(log_of(records))
 
 
+def test_replay_names_the_nested_header_field_that_differs(tmp_path, capsys):
+    records = records_of(scripted_log())
+    upkeep = records[0]["config"]["upkeep"]
+    records[0]["config"]["upkeep"] = str(upkeep)
+    message = rf'line 1 \(header\): config.upkeep is "{upkeep}" in the log, {upkeep} on re-execution'
+    with pytest.raises(ReplayError, match=message):
+        replay(log_of(records))
+    path = tmp_path / "game.log"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["replay", str(path)]) == 4
+    assert "config.upkeep" in capsys.readouterr().err
+
+
 def test_replay_rejects_header_that_new_game_does_not_build():
     records = records_of(scripted_log())
     records[0]["agents"][0]["food"] += 1

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import random
@@ -219,6 +220,15 @@ def test_assignment_mixed_first_match_wins(stub_gateway):
 
 # --------------------------------------------------------------------------
 # run_experiment artifacts
+
+
+def test_record_summary_lists_every_count_of_the_summary(tmp_path):
+    record = run_small(out_dir=tmp_path)
+    stored = json.loads((record.out_dir / "record.json").read_text())["summary"]
+    assert list(stored) == [field.name for field in dataclasses.fields(metrics.MetricsSummary)
+                            if field.name not in ("action_distribution", "per_turn")]
+    assert stored["action_counts"] == record.summary.action_counts
+    assert stored["entropy_norm"] == record.summary.entropy_norm
 
 
 def test_run_experiment_writes_artifact_bundle(tmp_path):
@@ -599,3 +609,34 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 0
     assert (out / "summary.csv").exists()
     assert "| upkeep |" in capsys.readouterr().out
+
+
+def test_cli_sweep_applies_acknowledged_overrides(tmp_path, capsys):
+    sets = ["--set", "grid_width=5", "--set", "grid_height=5", "--set", "n_agents=4",
+            "--set", "n_food_nodes=2", "--set", "n_token_nodes=1"]
+    out = tmp_path / "sweep"
+    assert cli("sweep", "--preset", "P1", "--param", "upkeep", "--values", "1,2",
+               *sets, "--ack-overrides", "--out", str(out)) == 0
+    configs = [GameConfig.read(path) for path in sorted(out.glob("*/config.txt"))]
+    assert [(c.grid_width, c.n_agents, c.upkeep) for c in configs] == [(5, 4, 1), (5, 4, 2)]
+    capsys.readouterr()
+
+    unacknowledged = tmp_path / "unacknowledged"
+    assert cli("sweep", "--preset", "P1", "--param", "upkeep", "--values", "1",
+               *sets, "--out", str(unacknowledged)) == 2
+    assert "--ack-overrides" in capsys.readouterr().err
+    assert cli("sweep", "--preset", "P1", "--param", "upkeep", "--values", "1",
+               "--set", "bogus", "--ack-overrides", "--out", str(unacknowledged)) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not unacknowledged.exists()
+
+
+def test_cli_analyze_names_the_log_that_fails_to_read(tmp_path, capsys):
+    first = run_small(out_dir=tmp_path / "a").log_path
+    second = tmp_path / "b.log"
+    lines = first.read_text().splitlines(keepends=True)
+    lines[2] = "{not json\n"
+    second.write_text("".join(lines))
+    assert cli("analyze", str(first), str(second), "--out", str(tmp_path / "r")) == 4
+    err = capsys.readouterr().err
+    assert f"{second}: line 3: invalid JSON" in err

@@ -1,5 +1,6 @@
 """Entropy math and log summarization."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from gridarena.core import GameConfig, new_game
 from gridarena.engine import run_game
+from gridarena.gamelog import GameLog
 from gridarena.metrics import (
     ACTION_TYPES,
     MetricsError,
@@ -143,6 +145,30 @@ def test_summarize_requires_end_record():
     log = GameLog()
     with pytest.raises(MetricsError):
         summarize(log)
+
+
+class CountingLog(GameLog):
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_summarize_walks_the_log_once():
+    log = CountingLog(scripted_log().events)
+    summary = summarize(log)
+    assert log.walks == 1
+    assert summary.action_counts == action_counts(log)
+    assert summary.per_turn == per_turn_entropy(log)
+
+
+def test_summary_record_lists_every_count_in_field_order():
+    summary = summarize(scripted_log())
+    record = summary.as_record()
+    names = [f.name for f in dataclasses.fields(summary)]
+    assert list(record) == [n for n in names if n not in ("action_distribution", "per_turn")]
+    assert all(record[name] == getattr(summary, name) for name in record)
 
 
 def test_per_turn_entropy_rows():
