@@ -7,8 +7,12 @@ One turn runs in a fixed order:
    agents at 0 food die now.
 2. observations: every surviving agent gets an Observation built from the
    same post-upkeep snapshot. ``step`` indexes that snapshot once (living
-   agents by cell, each node seen and unseen), so one observation reads
-   only the cells within the observer's vision range.
+   agents by cell), so one observation reads only the cells within the
+   observer's vision range. Observations share what does not depend on the
+   observer: within the turn, observers on one cell share what the cell
+   sees, and observers that see the same nodes share one tuple of node
+   views; for the whole game, which nodes each cell sees and the all-hidden
+   node views are worked out once, because nodes never move.
 3. decisions: policies are consulted in batch; a policy failure substitutes
    REST and logs a policy_fault record.
 4. resolution: queued actions resolve one at a time in a seeded-random
@@ -33,8 +37,8 @@ where a decision exposes ``action`` (an Action) and ``parse_status``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import mating as _mating
 from .actions import (
@@ -75,8 +79,7 @@ OUTCOME_CANCELLED_DEAD = "cancelled_dead"
 # Observations
 
 
-@dataclass(frozen=True)
-class NearbyAgent:
+class NearbyAgent(NamedTuple):
     """Another agent as seen by an observer: resources quantized by the
     observer's SOC, attributes only while revealed by a recent COMMUNICATE."""
 
@@ -89,8 +92,7 @@ class NearbyAgent:
     attrs: Any | None
 
 
-@dataclass(frozen=True)
-class ObservedNode:
+class ObservedNode(NamedTuple):
     """Node terrain is public; ``stock`` is None beyond vision range."""
 
     pos: tuple[int, int]
@@ -98,8 +100,7 @@ class ObservedNode:
     stock: int | None
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     agent: AgentState
     nearby: tuple[NearbyAgent, ...]
     nodes: tuple[ObservedNode, ...]
@@ -109,37 +110,93 @@ class Observation:
     variant: str
 
 
+# A NamedTuple's generated ``__new__`` is a Python call; the tuple constructor
+# makes the same object at under half the cost, and ``observe`` makes many.
+_make = tuple.__new__
+
+
 def quantize(value: int, width: int) -> int:
     """Round to the nearest multiple of ``width`` (halves round up)."""
     return (value + width // 2) // width * width
 
 
+Cell = tuple[int, int]
+
+
+class GameSight(NamedTuple):
+    """What the cells of one game see of the nodes. Nodes never move, so it
+    holds for the whole game; ``_game_sight`` makes it on the game's first
+    observation."""
+
+    cells: dict[Cell, tuple[int, ...]]  # cell -> indices of the nodes in sight, ascending
+    hidden: tuple[ObservedNode, ...]  # every node's terrain, stock unseen
+
+
+def _game_sight(state: GameState) -> GameSight:
+    """``state``'s per-game sight, made on first use in O(nodes)."""
+    sight = state.sight
+    if sight is None:
+        in_sight: dict[Cell, list[int]] = {}
+        reach = range(-VISION_RANGE, VISION_RANGE + 1)
+        for rank, node in enumerate(state.nodes):
+            x, y = node.pos
+            for dx in reach:
+                for dy in reach:
+                    cell = (x + dx, y + dy)
+                    if state.in_bounds(cell):
+                        in_sight.setdefault(cell, []).append(rank)
+        sight = state.sight = GameSight(
+            cells={cell: tuple(ranks) for cell, ranks in in_sight.items()},
+            hidden=tuple(ObservedNode(node.pos, node.kind, None) for node in state.nodes))
+    return sight
+
+
 @dataclass(frozen=True)
 class SightIndex:
-    """What every observation of one turn shares, read from one state and
-    never changed: the living agents by cell and each node as seen from
-    within and beyond vision range."""
+    """What every observation of one turn shares, read from one state.
+
+    ``alive`` and ``cells`` index the living agents. ``seen`` and ``views``
+    fill on demand and never change once filled: what an observer on a cell
+    sees (the roster positions in sight, sorted, and the node views), and per
+    set of nodes in sight the one tuple of node views that every observer
+    seeing that set gets."""
 
     alive: list[AgentState]  # roster order
-    cells: dict[tuple[int, int], list[int]]  # cell -> positions in ``alive``
-    hidden: tuple[ObservedNode, ...]
-    seen: tuple[ObservedNode, ...]
+    cells: dict[Cell, list[int]]  # cell -> positions in ``alive``
+    sight: GameSight
+    seen: dict[Cell, tuple[list[int], tuple[ObservedNode, ...]]]
+    views: dict[tuple[int, ...], tuple[ObservedNode, ...]]  # nodes in sight -> views
 
 
 def sight_index(state: GameState) -> SightIndex:
     """Index ``state`` for ``observe``: O(agents + nodes)."""
     alive = state.alive_agents()
-    cells: dict[tuple[int, int], list[int]] = {}
+    cells: dict[Cell, list[int]] = {}
     for rank, agent in enumerate(alive):
         cells.setdefault(agent.pos, []).append(rank)
-    return SightIndex(
-        alive=alive,
-        cells=cells,
-        hidden=tuple(ObservedNode(pos=node.pos, kind=node.kind, stock=None)
-                     for node in state.nodes),
-        seen=tuple(ObservedNode(pos=node.pos, kind=node.kind, stock=node.stock)
-                   for node in state.nodes),
-    )
+    sight = _game_sight(state)
+    return SightIndex(alive=alive, cells=cells, sight=sight, seen={},
+                      views={(): sight.hidden})
+
+
+def _seen_from(state: GameState, index: SightIndex, pos: Cell
+               ) -> tuple[list[int], tuple[ObservedNode, ...]]:
+    """What an observer on ``pos`` sees this turn, for ``index.seen``."""
+    ranks: list[int] = []
+    x, y = pos
+    for cx in range(x - VISION_RANGE, x + VISION_RANGE + 1):
+        for cy in range(y - VISION_RANGE, y + VISION_RANGE + 1):
+            ranks += index.cells.get((cx, cy), ())
+    ranks.sort()
+    in_sight = index.sight.cells.get(pos, ())
+    views = index.views.get(in_sight)
+    if views is None:
+        nodes = list(index.sight.hidden)
+        for rank in in_sight:
+            node_pos, kind, _ = nodes[rank]
+            nodes[rank] = _make(ObservedNode, (node_pos, kind, state.nodes[rank].stock))
+        views = index.views[in_sight] = tuple(nodes)
+    return ranks, views
 
 
 def observe(state: GameState, agent_id: int, index: SightIndex | None = None) -> Observation:
@@ -150,53 +207,49 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
     attributes are hidden unless currently revealed. ``nearby`` keeps roster
     order and ``nodes`` keeps ``state.nodes`` order.
 
-    ``index`` must be ``sight_index`` of this same state; ``step`` builds it
-    once per turn, so an observation costs O(cells in vision range + nodes).
-    Without it the call indexes the state itself, which is O(agents + nodes).
+    ``index`` must be ``sight_index`` of this same state, unchanged since;
+    ``step`` builds it once per turn, so an observation costs O(agents in
+    vision range), plus O(cells in vision range + nodes) for the first
+    observer on its cell. Without it the call indexes the state itself, which
+    is O(agents + nodes). Observers of one index that see the same nodes
+    share one ``nodes`` tuple, and the all-hidden node views last the game.
     """
     if index is None:
         index = sight_index(state)
     agent = state.agents[agent_id]
     sexual = state.config.engine_variant == VARIANT_SEXUAL_SELECTION
     width = max(1, 8 - agent.attrs.SOC)
+    turn = state.turn
 
-    ranks: list[int] = []
-    nodes = list(index.hidden)
-    x, y = agent.pos
-    for cx in range(x - VISION_RANGE, x + VISION_RANGE + 1):
-        for cy in range(y - VISION_RANGE, y + VISION_RANGE + 1):
-            cell = (cx, cy)
-            ranks += index.cells.get(cell, ())
-            node = state.node_index.get(cell)
-            if node is not None:
-                nodes[node] = index.seen[node]
-    ranks.sort()
+    seen = index.seen.get(agent.pos)
+    if seen is None:
+        seen = index.seen[agent.pos] = _seen_from(state, index, agent.pos)
+    ranks, nodes = seen
 
     nearby = []
     for rank in ranks:
         other = index.alive[rank]
         if other.id == agent_id:
             continue
-        nearby.append(NearbyAgent(
-            id=other.id,
-            pos=other.pos,
-            approx_food=quantize(other.food, width),
-            approx_tokens=quantize(other.tokens, width),
-            role=other.role if sexual else None,
-            vitality=other.vitality if sexual else None,
-            attrs=other.attrs if other.revealed(state.turn) else None,
-        ))
+        nearby.append(_make(NearbyAgent, (
+            other.id,
+            other.pos,
+            quantize(other.food, width),
+            quantize(other.tokens, width),
+            other.role if sexual else None,
+            other.vitality if sexual else None,
+            other.attrs if other.revealed(turn) else None,
+        )))
 
-    me = replace(agent, train_progress=dict(agent.train_progress))
-    return Observation(
-        agent=me,
-        nearby=tuple(nearby),
-        nodes=tuple(nodes),
-        recent_actions=tuple(state.recent_actions.get(agent_id, ())),
-        messages=tuple(state.inbox.get(agent_id, ())),
-        turn=state.turn,
-        variant=state.config.engine_variant,
-    )
+    return _make(Observation, (
+        agent.snapshot(),
+        tuple(nearby),
+        nodes,
+        tuple(state.recent_actions.get(agent_id, ())),
+        tuple(state.inbox.get(agent_id, ())),
+        turn,
+        state.config.engine_variant,
+    ))
 
 
 # --------------------------------------------------------------------------

@@ -153,8 +153,13 @@ def end_event(state: GameState, reason: str) -> dict[str, Any]:
 # Container
 
 
+# ``json.dumps`` with these options makes a new encoder per call; one shared
+# encoder gives the same bytes, and ``encode`` keeps no state between calls.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def _dumps(event: dict[str, Any]) -> str:
-    return json.dumps(event, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(event)
 
 
 @dataclass

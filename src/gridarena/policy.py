@@ -10,6 +10,7 @@ back to REST when the reply has no parseable action line.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -313,20 +314,23 @@ class ScriptedPolicy(Policy):
         """GATHER on a usable node underfoot, else MOVE toward the nearest
         candidate node (unknown stock counts as a candidate), else None."""
         me = obs.agent
-
-        def usable(node) -> bool:
-            if kind is not None and node.kind != kind:
-                return False
-            return node.stock is None or node.stock > 0
-
-        here = next((n for n in obs.nodes if n.pos == me.pos), None)
-        if here is not None and usable(here):
-            return GATHER
-        candidates = [n for n in obs.nodes if n.pos != me.pos and usable(n)]
-        if not candidates:
-            return None
-        target = min(candidates, key=lambda n: (manhattan(me.pos, n.pos), n.pos))
-        return self._move_toward(me, target.pos)
+        x, y = me.pos
+        # one walk for the nearest candidate by (Manhattan distance, pos); a
+        # node underfoot is at distance 0, as nodes stand on distinct cells
+        best_dist, best = math.inf, None
+        for node in obs.nodes:
+            pos = node.pos
+            dist = abs(pos[0] - x) + abs(pos[1] - y)
+            if dist > best_dist:
+                continue
+            stock = node.stock
+            if (stock is not None and stock <= 0) or (kind is not None and node.kind != kind):
+                continue
+            if dist < best_dist or pos < best:
+                if dist == 0:
+                    return GATHER
+                best_dist, best = dist, pos
+        return None if best is None else self._move_toward(me, best)
 
 
 class RestOnly(ScriptedPolicy):

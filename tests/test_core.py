@@ -1,5 +1,6 @@
 """Config validation, serialization, helpers, and seeded world setup."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from gridarena.core import (
     ATTRIBUTE_NAMES,
+    AgentState,
     Attributes,
     ConfigError,
     GameConfig,
@@ -192,6 +194,20 @@ def test_attributes_accessors():
     assert attrs.with_value("SOC", 9).get("SOC") == 9
     assert attrs.total() == 21
     assert list(attrs.as_dict()) == list(ATTRIBUTE_NAMES)
+
+
+def test_agent_snapshot_equals_replace_and_owns_its_progress():
+    # every field off its default, so a field the copy dropped would show
+    agent = AgentState(id=7, pos=(2, 3), attrs=Attributes(STR=1, SPD=2, INT=3, SOC=4, END=5, CHA=6),
+                       food=11, tokens=12, health=9, alive=False, role=ROLE_PROVIDER,
+                       vitality=8, revealed_until=4, train_progress={"STR": 3})
+    assert all(getattr(agent, f.name) != f.default for f in dataclasses.fields(agent)
+               if f.default is not dataclasses.MISSING)
+    copy = agent.snapshot()
+    assert copy == dataclasses.replace(agent, train_progress=dict(agent.train_progress))
+    assert copy is not agent and copy.train_progress is not agent.train_progress
+    copy.train_progress["STR"] = 9
+    assert agent.train_progress == {"STR": 3}
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -266,6 +266,46 @@ def test_step_builds_one_sight_index_per_turn(monkeypatch):
     assert built == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("value", [
+    NearbyAgent(id=1, pos=(0, 0), approx_food=4, approx_tokens=2, role=None,
+                vitality=None, attrs=None),
+    ObservedNode(pos=(1, 1), kind="food", stock=None),
+    Observation(agent=make_agent(0, (0, 0)), nearby=(), nodes=(), recent_actions=(),
+                messages=(), turn=0, variant=VARIANTS[0]),
+])
+def test_observation_types_are_immutable(value):
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+@given(sight_worlds())
+@example(STACKED_COLUMN)
+def test_one_index_observes_alike_in_any_order(world):
+    state = build_world(world)
+    forward, backward = sight_index(state), sight_index(state)
+    ids = list(state.agents)
+    first = {agent_id: observe(state, agent_id, forward) for agent_id in ids}
+    second = {agent_id: observe(state, agent_id, backward) for agent_id in reversed(ids)}
+    assert first == second
+    # observers that see the same nodes share one tuple of node views
+    for views in (first, second):
+        by_value = {}
+        for obs in views.values():
+            assert by_value.setdefault(obs.nodes, obs.nodes) is obs.nodes
+
+
+def test_new_game_leaves_the_sight_map_to_the_first_observation():
+    config = small_config(n_agents=6, max_turns=10)
+    state = new_game(config)
+    assert state.sight is None
+    observe(state, 0)
+    sight = state.sight
+    assert sight is not None
+    step(state, PolicyMap(lambda agent: make_scripted("walker", agent.id, config)))
+    assert state.sight is sight  # one per game
+
+
 class ObservationCheck:
     """Wraps a policy map and checks, before it decides, that each
     observation ``step`` built equals ``observe`` without an index."""

@@ -317,6 +317,17 @@ def test_sweep_parallel_matches_serial():
     assert [r.log_sha256 for r in serial] == [r.log_sha256 for r in parallel]
 
 
+@pytest.mark.parametrize("preset, values", [("P2", PRESETS["P2"].sweep[1]), ("V7", [1, 2, 3])])
+def test_sweep_parallel_matches_serial_with_observing_policies(preset, values):
+    # greedy, suitor and picky read their observations every turn, so two
+    # games at once exercise the per-turn sight index and the log encoder
+    # under threads, at the presets' own turn counts
+    serial = sweep(preset, "upkeep", values)
+    parallel = sweep(preset, "upkeep", values, parallel=2)
+    assert len(serial) == len(values)
+    assert [r.log_sha256 for r in serial] == [r.log_sha256 for r in parallel]
+
+
 def test_sweep_requires_axis_for_presets_without_one():
     with pytest.raises(ConfigError):
         sweep("P1")

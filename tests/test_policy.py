@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gridarena.actions import (
     Attack,
@@ -21,6 +22,7 @@ from gridarena.core import (
     ROLE_PROVIDER,
     VARIANT_SEXUAL_SELECTION,
     VARIANT_SURVIVAL,
+    manhattan,
 )
 from gridarena.engine import NearbyAgent, ObservedNode, Observation
 from gridarena.mating import ProposalView
@@ -311,6 +313,51 @@ def test_greedy_skips_empty_for_stocked_node():
     ])
     action = decide("greedy", obs)
     assert isinstance(action, Move) and action.steps[0] == "E"
+
+
+def two_pass_gather_action(policy, obs, kind=None):
+    """Reference for ``_gather_action``: find the node underfoot, then take
+    the nearest usable candidate elsewhere by (Manhattan distance, pos)."""
+    me = obs.agent
+
+    def usable(node):
+        if kind is not None and node.kind != kind:
+            return False
+        return node.stock is None or node.stock > 0
+
+    here = next((n for n in obs.nodes if n.pos == me.pos), None)
+    if here is not None and usable(here):
+        return GATHER
+    candidates = [n for n in obs.nodes if n.pos != me.pos and usable(n)]
+    if not candidates:
+        return None
+    target = min(candidates, key=lambda n: (manhattan(me.pos, n.pos), n.pos))
+    return policy._move_toward(me, target.pos)
+
+
+GRID_CELLS = [(x, y) for x in range(7) for y in range(7)]
+
+
+@st.composite
+def gather_cases(draw):
+    """Nodes on distinct cells of a 7x7 grid, of both kinds, with stock 0,
+    positive or unseen; an observer on a node or on any cell."""
+    cells = draw(st.lists(st.sampled_from(GRID_CELLS), unique=True, max_size=10))
+    nodes = [ObservedNode(pos=cell, kind=draw(st.sampled_from(["food", "token"])),
+                          stock=draw(st.none() | st.integers(0, 4)))
+             for cell in cells]
+    here = draw(st.sampled_from(cells) if cells and draw(st.booleans())
+                else st.sampled_from(GRID_CELLS))
+    spd = draw(st.sampled_from([3, 6]))  # one step or two per MOVE
+    me = make_agent(0, here, attrs=Attributes(STR=3, SPD=spd, INT=3, SOC=3, END=3, CHA=3))
+    return observation(me, nodes=nodes), draw(st.sampled_from([None, "food", "token"]))
+
+
+@given(gather_cases())
+def test_gather_action_equals_the_two_pass_scan(case):
+    obs, kind = case
+    policy = make_scripted("greedy", 0, small_config(grid_width=7, grid_height=7))
+    assert policy._gather_action(obs, kind) == two_pass_gather_action(policy, obs, kind)
 
 
 def test_aggressor_attacks_poorest_cellmate():
