@@ -355,11 +355,9 @@ class GameState:
     def alive_agents(self) -> list[AgentState]:
         return [a for a in self.agents.values() if a.alive]
 
-    def agents_at(self, pos: tuple[int, int]) -> list[AgentState]:
-        return [a for a in self.agents.values() if a.alive and a.pos == pos]
-
     def occupancy(self, pos: tuple[int, int]) -> int:
-        return len(self.agents_at(pos))
+        """How many living agents stand on ``pos``."""
+        return sum(1 for a in self.agents.values() if a.alive and a.pos == pos)
 
     def in_bounds(self, pos: tuple[int, int]) -> bool:
         return self.config.in_bounds(pos)

@@ -1,8 +1,12 @@
 """Event-sourced game log: line-delimited JSON with replayable state deltas.
 
-One record per line, ``type`` first. Field order is fixed and all state
-values are integers, so identical runs serialize byte for byte. Record
-types, in the order they appear in a log::
+One record per line, ``type`` first; a line ends at ``\\n`` only (record
+text may hold U+0085, U+2028 or U+2029 raw). Field order is fixed and all
+state values are integers, so identical runs serialize byte for byte. A
+``GameLog`` encodes each record once, when it is appended (or keeps the line
+it was read from), and its text, hash and file all reuse those lines; so a
+record is not edited after it is appended. Record types, in the order they
+appear in a log::
 
     header    config + initial agent/node snapshots
     upkeep    per-turn food deduction (delta, deaths)
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from .actions import REST, parse_action
@@ -155,7 +159,8 @@ def end_event(state: GameState, reason: str) -> dict[str, Any]:
 
 # ``json.dumps`` with these options makes a new encoder per call; one shared
 # encoder gives the same bytes, and ``encode`` keeps no state between calls.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+# Records are trees, so the circular-reference check only costs time.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
 
 
 def _dumps(event: dict[str, Any]) -> str:
@@ -164,17 +169,24 @@ def _dumps(event: dict[str, Any]) -> str:
 
 @dataclass
 class GameLog:
-    """Ordered event records of one game. Append-only."""
+    """Ordered event records of one game, each with its one encoded line.
+    Append-only: a record is encoded when it is appended (or kept as the
+    line it was read from), and ``to_text``, ``sha256`` and ``write`` reuse
+    those lines, so a record must not be edited after it is appended."""
 
     events: list[dict[str, Any]]
+    _lines: list[str] = field(repr=False, compare=False)
 
     def __init__(self, events: Iterable[dict[str, Any]] = ()):
-        self.events = list(events)
+        self.events = []
+        self._lines = []
+        self.extend(events)
 
     def append(self, event: dict[str, Any]) -> None:
         etype = event.get("type")
         if etype not in EVENT_TYPES:
             raise LogError(f"unknown event type {etype!r}")
+        self._lines.append(_dumps(event))
         self.events.append(event)
 
     def extend(self, events: Iterable[dict[str, Any]]) -> None:
@@ -207,10 +219,10 @@ class GameLog:
             raise LogError("line 1 (header): " + "; ".join(exc.problems)) from exc
 
     def lines(self) -> Iterator[str]:
-        return (_dumps(e) for e in self.events)
+        return iter(self._lines)
 
     def to_text(self) -> str:
-        return "".join(line + "\n" for line in self.lines())
+        return "\n".join(self._lines) + "\n" if self._lines else ""
 
     def write(self, path) -> str:
         """Write the log to ``path`` and return the sha256 of the bytes
@@ -226,7 +238,9 @@ class GameLog:
     @classmethod
     def from_text(cls, text: str) -> "GameLog":
         log = cls()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # ``splitlines`` would also break at U+0085, U+2028 and U+2029, which
+        # the encoder writes raw inside strings
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -244,6 +258,7 @@ class GameLog:
                 raise LogError(f"line {lineno} ({event['type']}): {_float_path(event)} "
                                f"must be an integer, got {number}")
             log.events.append(event)
+            log._lines.append(line)
         return log
 
     @classmethod
@@ -280,6 +295,7 @@ class _Script:
         self.events = events
         self.at = 0                           # index of the record being read or checked
         self.proposals: dict[int, int] = {}   # proposer id -> index of its action record
+        self.parsed: dict[str, Any] = {}      # action text -> its (frozen) action
 
     def where(self, index: int | None = None) -> str:
         index = self.at if index is None else index
@@ -317,7 +333,7 @@ class _Script:
             elif agent_id not in plans:
                 if not isinstance(record["fallback"], bool):
                     raise ReplayError(f"{self.where()}: fallback is not true or false")
-                plans[agent_id] = (parse_action(record["action"]), record["fallback"], None)
+                plans[agent_id] = (self.action(record["action"]), record["fallback"], None)
                 self.proposals[agent_id] = self.at
             self.at += 1
         self.at = start
@@ -325,6 +341,13 @@ class _Script:
             # a placeholder for a missing action record; its record cannot match
             plans.setdefault(agent_id, (REST, False, None))
         return plans
+
+    def action(self, text: str) -> Any:
+        """``parse_action(text)``, parsed once per distinct text."""
+        action = self.parsed.get(text)
+        if action is None:
+            action = self.parsed[text] = parse_action(text)
+        return action
 
     def evaluate_proposal(self, chooser: AgentState, view: Any) -> bool:
         """A chooser's verdict is the proposer's logged REPRODUCE outcome."""

@@ -13,7 +13,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .actions import (
     Action,
@@ -434,28 +434,6 @@ class PickyChooser(ScriptedPolicy):
 
     def evaluate_proposal(self, view: Any) -> bool:
         return view.provider_vitality >= self.ACCEPT_VITALITY_FLOOR
-
-
-class ScriptedSequence(ScriptedPolicy):
-    """Plays a fixed list of actions, then RESTs (or loops). Test workhorse."""
-
-    def __init__(self, config: GameConfig, seed: int,
-                 sequence: Iterable[Action] = (), loop: bool = False):
-        super().__init__(config, seed)
-        self.sequence = list(sequence)
-        self.loop = loop
-        self._cursor = 0
-
-    def decide(self, obs: Observation) -> PolicyDecision:
-        if not self.sequence:
-            return PolicyDecision(REST)
-        if self._cursor >= len(self.sequence):
-            if not self.loop:
-                return PolicyDecision(REST)
-            self._cursor = 0
-        action = self.sequence[self._cursor]
-        self._cursor += 1
-        return PolicyDecision(action)
 
 
 SCRIPTED_POLICIES: dict[str, type[ScriptedPolicy]] = {

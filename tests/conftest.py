@@ -8,13 +8,16 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from typing import Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import settings
 
+from gridarena.actions import REST, Action
 from gridarena.core import Attributes, AgentState, GameConfig, GameState, ResourceNode
 from gridarena.gateway import GatewayConfig
+from gridarena.policy import PolicyDecision, ScriptedPolicy
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -223,6 +226,28 @@ def food_node(pos, regen: int = 2, stock: int = -1) -> ResourceNode:
 
 def token_node(pos, regen: int = 1, stock: int = -1) -> ResourceNode:
     return ResourceNode(pos=tuple(pos), kind="token", regen=regen, stock=stock)
+
+
+class ScriptedSequence(ScriptedPolicy):
+    """Plays a fixed list of actions, then RESTs (or loops)."""
+
+    def __init__(self, config: GameConfig, seed: int,
+                 sequence: Iterable[Action] = (), loop: bool = False):
+        super().__init__(config, seed)
+        self.sequence = list(sequence)
+        self.loop = loop
+        self._cursor = 0
+
+    def decide(self, obs) -> PolicyDecision:
+        if not self.sequence:
+            return PolicyDecision(REST)
+        if self._cursor >= len(self.sequence):
+            if not self.loop:
+                return PolicyDecision(REST)
+            self._cursor = 0
+        action = self.sequence[self._cursor]
+        self._cursor += 1
+        return PolicyDecision(action)
 
 
 # --------------------------------------------------------------------------

@@ -52,11 +52,11 @@ from gridarena.mating import make_offspring, vitality_endowment
 from gridarena.metrics import normalized_entropy, per_turn_entropy
 from gridarena.policy import (
     PolicyMap,
-    ScriptedSequence,
     build_prompt,
 )
 
 from conftest import (
+    ScriptedSequence,
     canned_responder,
     flat_attrs,
     gateway_config,

@@ -1,11 +1,13 @@
 """Log serialization and replay verification."""
 
+import hashlib
 import json
 import random
 import tracemalloc
 
 import pytest
 
+from gridarena import gamelog
 from gridarena.cli import main
 from gridarena.core import new_game
 from gridarena.engine import run_game
@@ -49,6 +51,38 @@ def test_log_file_round_trip(tmp_path):
     path = tmp_path / "game.log"
     log.write(path)
     assert GameLog.read(path).to_text() == log.to_text()
+
+
+def test_each_record_is_encoded_once(tmp_path, monkeypatch):
+    """Text, hash and file reuse the lines encoded when records were appended."""
+    calls = []
+    encode = gamelog._dumps
+    monkeypatch.setattr(gamelog, "_dumps", lambda event: calls.append(1) or encode(event))
+    log = scripted_log()
+    for index in range(2):
+        log.to_text()
+        log.sha256()
+        log.write(tmp_path / f"game-{index}.log")
+    assert len(calls) == len(log)
+
+
+def test_a_read_log_hashes_its_file_without_encoding(tmp_path, monkeypatch):
+    path = tmp_path / "game.log"
+    scripted_log().write(path)
+
+    def refuse(event):
+        raise AssertionError("a read record was encoded again")
+
+    monkeypatch.setattr(gamelog, "_dumps", refuse)
+    log = GameLog.read(path)
+    assert log.sha256() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert log.write(tmp_path / "again.log") == log.sha256()
+
+
+def test_a_log_built_from_records_gives_the_engine_text():
+    log = scripted_log()
+    assert GameLog(log.events).to_text() == log.to_text()
+    assert GameLog(json.loads(line) for line in log.lines()).to_text() == log.to_text()
 
 
 def test_log_header_and_end_accessors():
@@ -396,8 +430,11 @@ def test_a_malformed_header_config_is_a_log_error(tmp_path, capsys, edit, fragme
 
 
 class Unreachable(Policy):
+    def __init__(self, text="model unreachable"):
+        self.text = text
+
     def decide(self, obs):
-        raise RuntimeError("model unreachable")
+        raise RuntimeError(self.text)
 
 
 def faulty_log():
@@ -413,6 +450,33 @@ def test_replay_accepts_policy_faults():
     faults = [r for r in log if r["type"] == "policy_fault"]
     assert len(faults) == 6 and {r["agent_id"] for r in faults} == {1}
     assert replay(log).events == len(log)
+
+
+@pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+def test_a_fault_text_with_a_unicode_line_break_replays(char, tmp_path):
+    """The encoder writes these raw inside a string; a line ends at \\n only."""
+    config = small_config(n_agents=4, max_turns=3)
+    log = run_game(new_game(config), PolicyMap(
+        lambda agent: Unreachable(f"bad{char}reply") if agent.id == 1
+        else make_scripted("greedy", agent.id, config)))
+    path = tmp_path / "game.log"
+    log.write(path)
+    assert char in path.read_text(encoding="utf-8")
+    read = GameLog.read(path)
+    assert read.events == log.events
+    assert read.sha256() == log.sha256()
+    assert main(["replay", str(path)]) == 0
+
+
+def test_replay_parses_each_distinct_action_text_once(tmp_path, monkeypatch):
+    log = GameLog.read(run_experiment("V7", seed=3, out_dir=tmp_path).log_path)
+    texts = [r["action"] for r in log if r["type"] == "action"]
+    parsed = []
+    parse = gamelog.parse_action
+    monkeypatch.setattr(gamelog, "parse_action", lambda text: parsed.append(text) or parse(text))
+    replay(log)
+    assert sorted(parsed) == sorted(set(texts))
+    assert len(parsed) < len(texts)
 
 
 def test_replay_rejects_policy_fault_moved_to_another_agent():
