@@ -21,7 +21,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .mating import ProposalView, ReproductionEvent
+from .mating import ProposalView
 from .metrics import MetricsError, MetricsSummary, normalized_entropy, summarize
 from .policy import LLMPolicy, Policy, PolicyDecision, PolicyMap, SCRIPTED_POLICIES
 
@@ -52,7 +52,6 @@ __all__ = [
     "Preset",
     "ProposalView",
     "ReplayError",
-    "ReproductionEvent",
     "SCRIPTED_POLICIES",
     "analyze",
     "build_policy_map",

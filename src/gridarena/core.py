@@ -359,9 +359,6 @@ class GameState:
         """How many living agents stand on ``pos``."""
         return sum(1 for a in self.agents.values() if a.alive and a.pos == pos)
 
-    def in_bounds(self, pos: tuple[int, int]) -> bool:
-        return self.config.in_bounds(pos)
-
 
 def place_nodes(rng: random.Random, config: GameConfig) -> list[ResourceNode]:
     """Scatter food then token nodes on distinct cells, full stock."""

@@ -10,8 +10,7 @@ One turn runs in a fixed order:
    agents by cell), so one observation reads only the cells within the
    observer's vision range. Observations share what does not depend on the
    observer: within the turn, observers on one cell share what the cell
-   sees, and observers that see the same nodes share one tuple of node
-   views; for the whole game, which nodes each cell sees and the all-hidden
+   sees; for the whole game, which nodes each cell sees and the all-hidden
    node views are worked out once, because nodes never move.
 3. decisions: policies are consulted in batch; a policy failure substitutes
    REST and logs a policy_fault record.
@@ -143,7 +142,7 @@ def _game_sight(state: GameState) -> GameSight:
             for dx in reach:
                 for dy in reach:
                     cell = (x + dx, y + dy)
-                    if state.in_bounds(cell):
+                    if state.config.in_bounds(cell):
                         in_sight.setdefault(cell, []).append(rank)
         sight = state.sight = GameSight(
             cells={cell: tuple(ranks) for cell, ranks in in_sight.items()},
@@ -155,17 +154,14 @@ def _game_sight(state: GameState) -> GameSight:
 class SightIndex:
     """What every observation of one turn shares, read from one state.
 
-    ``alive`` and ``cells`` index the living agents. ``seen`` and ``views``
-    fill on demand and never change once filled: what an observer on a cell
-    sees (the roster positions in sight, sorted, and the node views), and per
-    set of nodes in sight the one tuple of node views that every observer
-    seeing that set gets."""
+    ``alive`` and ``cells`` index the living agents. ``seen`` fills on
+    demand and never changes once filled: what an observer on a cell sees
+    (the roster positions in sight, sorted, and the node views)."""
 
     alive: list[AgentState]  # roster order
     cells: dict[Cell, list[int]]  # cell -> positions in ``alive``
     sight: GameSight
     seen: dict[Cell, tuple[list[int], tuple[ObservedNode, ...]]]
-    views: dict[tuple[int, ...], tuple[ObservedNode, ...]]  # nodes in sight -> views
 
 
 def sight_index(state: GameState) -> SightIndex:
@@ -174,9 +170,7 @@ def sight_index(state: GameState) -> SightIndex:
     cells: dict[Cell, list[int]] = {}
     for rank, agent in enumerate(alive):
         cells.setdefault(agent.pos, []).append(rank)
-    sight = _game_sight(state)
-    return SightIndex(alive=alive, cells=cells, sight=sight, seen={},
-                      views={(): sight.hidden})
+    return SightIndex(alive=alive, cells=cells, sight=_game_sight(state), seen={})
 
 
 def _seen_from(state: GameState, index: SightIndex, pos: Cell
@@ -188,15 +182,14 @@ def _seen_from(state: GameState, index: SightIndex, pos: Cell
         for cy in range(y - VISION_RANGE, y + VISION_RANGE + 1):
             ranks += index.cells.get((cx, cy), ())
     ranks.sort()
-    in_sight = index.sight.cells.get(pos, ())
-    views = index.views.get(in_sight)
-    if views is None:
-        nodes = list(index.sight.hidden)
-        for rank in in_sight:
-            node_pos, kind, _ = nodes[rank]
-            nodes[rank] = _make(ObservedNode, (node_pos, kind, state.nodes[rank].stock))
-        views = index.views[in_sight] = tuple(nodes)
-    return ranks, views
+    in_sight = index.sight.cells.get(pos)
+    if in_sight is None:
+        return ranks, index.sight.hidden
+    nodes = list(index.sight.hidden)
+    for rank in in_sight:
+        node_pos, kind, _ = nodes[rank]
+        nodes[rank] = _make(ObservedNode, (node_pos, kind, state.nodes[rank].stock))
+    return ranks, tuple(nodes)
 
 
 def observe(state: GameState, agent_id: int, index: SightIndex | None = None) -> Observation:
@@ -211,8 +204,8 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
     ``step`` builds it once per turn, so an observation costs O(agents in
     vision range), plus O(cells in vision range + nodes) for the first
     observer on its cell. Without it the call indexes the state itself, which
-    is O(agents + nodes). Observers of one index that see the same nodes
-    share one ``nodes`` tuple, and the all-hidden node views last the game.
+    is O(agents + nodes). Observers of one index on the same cell share one
+    ``nodes`` tuple, and the all-hidden node views last the game.
     """
     if index is None:
         index = sight_index(state)
@@ -323,7 +316,7 @@ def _resolve_move(state: GameState, agent: AgentState, action: Move, delta: Delt
     for direction in action.steps[:agent.move_steps]:
         dx, dy = DIRECTIONS[direction]
         nxt = (pos[0] + dx, pos[1] + dy)
-        if not state.in_bounds(nxt):
+        if not state.config.in_bounds(nxt):
             break
         if state.occupancy(nxt) >= state.config.cell_capacity:
             break
@@ -388,7 +381,8 @@ def _resolve_train(agent: AgentState, action: Train, delta: Delta) -> str:
 
 def resolve_action(state: GameState, agent: AgentState, action: Action, delta: Delta,
                    policies: Any, births: list[int]) -> str:
-    """Resolve one queued action against live state. Returns the outcome tag."""
+    """Resolve one queued action against live state. Returns the outcome tag;
+    an offspring's id is appended to ``births``."""
     if isinstance(action, Gather):
         return _resolve_gather(state, agent, delta)
     if isinstance(action, Move):
@@ -406,7 +400,9 @@ def resolve_action(state: GameState, agent: AgentState, action: Action, delta: D
             return "failed_unavailable"
         if isinstance(action, Communicate):
             return _mating.resolve_communicate(state, agent, action, delta)
-        outcome, _ = _mating.resolve_reproduce(state, agent, action, delta, policies, births)
+        outcome, child = _mating.resolve_reproduce(state, agent, action, delta, policies)
+        if child is not None:
+            births.append(child.id)
         return outcome
     raise TypeError(f"not an action: {action!r}")
 

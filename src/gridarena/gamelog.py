@@ -55,8 +55,6 @@ RECORD_KEYS: dict[str, frozenset[str]] = {
     "end": frozenset({"type", "turn", "reason", "survivors", "alive_ids", "agents", "nodes"}),
 }
 
-EVENT_TYPES = tuple(RECORD_KEYS)
-
 
 class ReplayError(ValueError):
     """Re-execution diverged from the log, or the log is unusable."""
@@ -184,7 +182,7 @@ class GameLog:
 
     def append(self, event: dict[str, Any]) -> None:
         etype = event.get("type")
-        if etype not in EVENT_TYPES:
+        if etype not in RECORD_KEYS:
             raise LogError(f"unknown event type {etype!r}")
         self._lines.append(_dumps(event))
         self.events.append(event)
@@ -248,7 +246,7 @@ class GameLog:
                 event, number = _decode(line)
             except json.JSONDecodeError as exc:
                 raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(event, dict) or event.get("type") not in EVENT_TYPES:
+            if not isinstance(event, dict) or event.get("type") not in RECORD_KEYS:
                 raise LogError(f"line {lineno}: not a known event record")
             required = RECORD_KEYS[event["type"]]
             if not required <= event.keys():

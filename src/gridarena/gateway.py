@@ -82,6 +82,8 @@ class GatewayConfig:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not self.request_timeout > 0:
+            raise ValueError(f"request_timeout must be > 0, got {self.request_timeout!r}")
 
 
 def _request_body(prompt: str, config: GatewayConfig) -> dict:

@@ -156,7 +156,8 @@ def build_policy_map(assignment: str, config: GameConfig,
     Each form is one ordered rule list: the first rule matching an agent
     names its policy, and an agent no rule matches plays ``rest``. ``llm`` is
     also accepted as a <name> inside mixed/byrole; all LLM agents share one
-    policy instance so their prompts batch together.
+    policy instance so their prompts batch together, at most
+    ``config.llm_concurrency`` in flight whatever ``gateway`` says.
     """
     rules = _assignment_rules(assignment, config)
     for _, name in rules:
@@ -168,7 +169,7 @@ def build_policy_map(assignment: str, config: GameConfig,
         if gateway is None:
             raise ConfigError(["policy assignment uses 'llm' but no gateway is "
                                "configured (CLI: --endpoint and --model)"])
-        llm = LLMPolicy(gateway)
+        llm = LLMPolicy(replace(gateway, max_concurrency=config.llm_concurrency))
 
     def factory(agent: AgentState) -> Policy:
         name = next((name for matches, name in rules if matches(agent)), "rest")
@@ -252,8 +253,6 @@ def run_experiment(preset: "str | Preset | GameConfig",
     overrides = dict(overrides or {})
     require_acknowledged(overrides, ack_overrides)
     config = resolve_config(chosen, overrides, seed)
-    if gateway is not None:
-        gateway = replace(gateway, max_concurrency=config.llm_concurrency)
     assignment = policies if policies is not None else chosen.policy_assignment
     policy_map = build_policy_map(assignment, config, gateway)
 
@@ -317,7 +316,8 @@ def sweep(preset: "str | Preset | GameConfig",
 
     Runs are independent; failures are recorded and do not stop the sweep.
     With an output directory, the combined report tables are written there
-    from the runs' summaries; no log is read back.
+    from the runs' summaries; no log is read back. A sweep over ``seed``
+    takes no ``seed``, which would replace every swept value.
     """
     chosen = resolve_preset(preset)
     if parameter is None:
@@ -329,6 +329,9 @@ def sweep(preset: "str | Preset | GameConfig",
             values = chosen.sweep[1]
     if parameter not in GameConfig.FIELDS:
         raise ConfigError([f"unknown sweep parameter {parameter!r}"])
+    if parameter == "seed" and seed is not None:
+        raise ConfigError([f"a sweep over seed cannot also fix seed={seed} "
+                           "(CLI: drop --seed)"])
     if values is None:
         raise ConfigError([f"sweep over {parameter!r} needs a value list"])
     values = list(values)

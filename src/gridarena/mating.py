@@ -4,7 +4,9 @@
 Providers propose (cheap: 6 food + 3 tokens); choosers evaluate (expensive:
 12 food + 5 tokens, paid even on rejection). An accepted proposal
 creates an offspring whose attributes are the parental means plus Gaussian
-mutation, clipped to [1, 10]. The offspring first acts on the following turn.
+mutation, clipped to [1, 10]. ``resolve_reproduce`` returns the offspring,
+and the engine lists its id in the turn's ``births``. The offspring first
+acts on the following turn.
 """
 
 from __future__ import annotations
@@ -61,21 +63,6 @@ class ProposalView:
     food_cost: int
     token_cost: int
     turn: int
-
-
-@dataclass(frozen=True)
-class ReproductionEvent:
-    """One evaluated proposal. ``offspring_id`` is present iff accepted."""
-
-    proposer_id: int
-    chooser_id: int
-    accepted: bool
-    offspring_id: int | None
-    turn: int
-
-    def __post_init__(self):
-        if self.accepted != (self.offspring_id is not None):
-            raise ValueError("offspring_id present iff accepted")
 
 
 def assign_roles(agents: list[AgentState], rng: random.Random) -> None:
@@ -139,15 +126,16 @@ def make_offspring(parent_a: AgentState, parent_b: AgentState, rng: random.Rando
 
 
 def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
-                      delta: Delta, policies: Any,
-                      births: list[int]) -> tuple[str, ReproductionEvent | None]:
-    """Resolve one REPRODUCE proposal.
+                      delta: Delta, policies: Any) -> tuple[str, AgentState | None]:
+    """Resolve one REPRODUCE proposal; return its outcome tag and the
+    offspring, which is None unless the outcome is ``accepted``.
 
     Failure order: role checks, target checks, cell capacity (checked before
     anything is charged, equivalent to charge-then-refund), provider
     solvency. The provider then pays; an insolvent chooser auto-rejects with
     the provider's cost already spent. Otherwise the chooser's policy
-    evaluates a ProposalView and pays its fee whether it accepts or not.
+    evaluates a ProposalView and pays its fee whether it accepts or not. An
+    accepted proposal spawns the offspring into ``delta``.
     """
     if provider.role != ROLE_PROVIDER:
         return "failed_role", None
@@ -167,9 +155,7 @@ def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
     delta.set_agent(provider, "tokens", provider.tokens - PROVIDER_TOKEN_COST)
 
     if chooser.food < CHOOSER_FOOD_COST or chooser.tokens < CHOOSER_TOKEN_COST:
-        event = ReproductionEvent(provider.id, chooser.id, accepted=False,
-                                  offspring_id=None, turn=state.turn)
-        return "chooser_insolvent", event
+        return "chooser_insolvent", None
 
     view = ProposalView(
         provider_id=provider.id,
@@ -190,15 +176,10 @@ def resolve_reproduce(state: GameState, provider: AgentState, action: Reproduce,
     delta.set_agent(chooser, "tokens", chooser.tokens - CHOOSER_TOKEN_COST)
 
     if not accepted:
-        event = ReproductionEvent(provider.id, chooser.id, accepted=False,
-                                  offspring_id=None, turn=state.turn)
-        return "rejected", event
+        return "rejected", None
 
     child = make_offspring(provider, chooser, state.rng,
                            agent_id=state.next_agent_id)
     state.next_agent_id += 1
     delta.spawn(child)
-    births.append(child.id)
-    event = ReproductionEvent(provider.id, chooser.id, accepted=True,
-                              offspring_id=child.id, turn=state.turn)
-    return "accepted", event
+    return "accepted", child

@@ -90,11 +90,6 @@ def _walk(log: GameLog) -> tuple[dict[str, int], dict[str, int], list[tuple[int,
     return {name: counts[name] for name in ACTION_TYPES if name in counts}, tallies, series
 
 
-def action_counts(log: GameLog) -> dict[str, int]:
-    """Raw per-type counts of resolved actions, zero-count types omitted."""
-    return _walk(log)[0]
-
-
 def per_turn_entropy(log: GameLog) -> list[tuple[int, float, int]]:
     """Per-turn series of (turn, entropy, alive_count).
 

@@ -245,7 +245,7 @@ def test_new_game_setup_shape():
     for node in state.nodes:
         assert node.stock == node.stock_cap == 5 * node.regen
     for agent in state.agents.values():
-        assert state.in_bounds(agent.pos)
+        assert config.in_bounds(agent.pos)
         assert agent.food == 60 and agent.tokens == 10
         assert agent.health == agent.max_health == 10 + 2 * agent.attrs.END
         assert agent.role == "none" and agent.vitality == 5

@@ -288,11 +288,6 @@ def test_one_index_observes_alike_in_any_order(world):
     first = {agent_id: observe(state, agent_id, forward) for agent_id in ids}
     second = {agent_id: observe(state, agent_id, backward) for agent_id in reversed(ids)}
     assert first == second
-    # observers that see the same nodes share one tuple of node views
-    for views in (first, second):
-        by_value = {}
-        for obs in views.values():
-            assert by_value.setdefault(obs.nodes, obs.nodes) is obs.nodes
 
 
 def test_new_game_leaves_the_sight_map_to_the_first_observation():
@@ -331,6 +326,21 @@ def test_step_observations_equal_unindexed_observe_in_a_game_with_births():
     log = run_game(state, check)
     assert sum(len(e["births"]) for e in log if e["type"] == "turn_end") > 0
     assert any(agent_id >= config.n_agents for agent_id in check.observers)  # offspring
+
+
+def test_births_are_the_turns_spawned_offspring():
+    preset = PRESETS["V7"]
+    config = replace(preset.config, seed=1)
+    log = run_game(new_game(config), build_policy_map(preset.policy_assignment, config))
+    spawned, turns_with_births = [], 0
+    for event in log:
+        if event["type"] == "action":
+            spawned += [op[1]["id"] for op in event["delta"] if op[0] == "spawn"]
+        elif event["type"] == "turn_end":
+            assert event["births"] == spawned, event["turn"]
+            turns_with_births += bool(spawned)
+            spawned = []
+    assert turns_with_births > 0
 
 
 # --------------------------------------------------------------------------

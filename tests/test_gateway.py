@@ -34,6 +34,12 @@ def test_gateway_config_validation():
         GatewayConfig(endpoint_url="http://x", model_name="m", max_retries=-1)
 
 
+@pytest.mark.parametrize("timeout", [0, -1, 0.0, float("nan")])
+def test_gateway_config_rejects_a_non_positive_timeout(timeout):
+    with pytest.raises(ValueError, match="request_timeout"):
+        GatewayConfig(endpoint_url="http://x", model_name="m", request_timeout=timeout)
+
+
 @pytest.mark.parametrize("url", ["localhost:8000/v1", "127.0.0.1:8000/v1",
                                  "ftp://host/v1", "http:///v1", "//host/v1",
                                  "http://host:abc/v1", "http://host:99999/v1",

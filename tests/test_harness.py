@@ -13,6 +13,7 @@ import pytest
 from gridarena import gamelog, harness, metrics
 from gridarena.cli import main
 from gridarena.core import ConfigError, GameConfig, VARIANT_SEXUAL_SELECTION, new_game
+from gridarena.engine import observe
 from gridarena.gamelog import GameLog, LogError
 from gridarena.harness import (
     PRESETS,
@@ -203,6 +204,17 @@ def test_assignment_llm_shares_one_policy(stub_gateway):
     assert isinstance(policies.pop(), LLMPolicy)
 
 
+def test_assignment_llm_runs_at_the_configs_concurrency(stub_gateway):
+    config = small_config(n_agents=8, llm_concurrency=2)
+    policy_map = build_policy_map("llm", config,
+                                  gateway_config(stub_gateway, max_concurrency=4))
+    stub_gateway.hold_seconds = 0.05
+    state = new_game(config)
+    policy_map.decide_all({aid: observe(state, aid) for aid in state.agents})
+    assert stub_gateway.request_count == 8
+    assert stub_gateway.max_in_flight <= 2
+
+
 def test_assignment_mixed_first_match_wins(stub_gateway):
     config = small_config(n_agents=4)
     policy_map = build_policy_map("mixed:0-2=rest,1=walker,*=greedy", config)
@@ -326,6 +338,15 @@ def test_sweep_parallel_matches_serial_with_observing_policies(preset, values):
     parallel = sweep(preset, "upkeep", values, parallel=2)
     assert len(serial) == len(values)
     assert [r.log_sha256 for r in serial] == [r.log_sha256 for r in parallel]
+
+
+def test_sweep_over_seed_refuses_a_fixed_seed(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        sweep("P2b", "seed", [1, 2], seed=5, out_dir=tmp_path / "api")
+    out = tmp_path / "cli"
+    assert cli("sweep", "--preset", "P2b", "--param", "seed", "--values", "1,2,3",
+               "--seed", "5", "--out", str(out)) == 2
+    assert not (tmp_path / "api").exists() and not out.exists()
 
 
 def test_sweep_requires_axis_for_presets_without_one():
@@ -590,6 +611,15 @@ def test_cli_malformed_endpoint_is_a_config_error(capsys):
                "--endpoint", "localhost:8000/v1", "--model", "m") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "endpoint_url" in err
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_cli_non_positive_gateway_timeout_is_a_config_error(timeout, capsys):
+    assert cli("run", "--preset", "P1", "--policies", "llm",
+               "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+               "--gateway-timeout", timeout) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "request_timeout" in err
 
 
 def test_cli_exit_code_three_for_runtime_faults(tmp_path):

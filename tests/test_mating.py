@@ -59,11 +59,10 @@ class Verdict:
 def propose(state, proposer_id, target_id, *, answer=True):
     verdict = Verdict(answer)
     delta = Delta(state)
-    births = []
-    outcome, event = resolve_reproduce(
+    outcome, child = resolve_reproduce(
         state, state.agents[proposer_id], Reproduce(target_id=target_id),
-        delta, verdict, births)
-    return outcome, event, delta, births, verdict
+        delta, verdict)
+    return outcome, child, delta, verdict
 
 
 # --------------------------------------------------------------------------
@@ -153,14 +152,11 @@ def test_reproduce_accepted_costs_and_offspring():
     mom = chooser(1, (1, 1), attrs=flat_attrs(6), food=40, tokens=12, vitality=4)
     state = mating_state([dad, mom])
     state.turn = 3
-    outcome, event, delta, births, verdict = propose(state, 0, 1)
+    outcome, child, delta, verdict = propose(state, 0, 1)
     assert outcome == "accepted"
     assert (dad.food, dad.tokens) == (24, 7)    # -6, -3
     assert (mom.food, mom.tokens) == (28, 7)    # -12, -5
-    assert births == [2] and event.offspring_id == 2
-    assert event.proposer_id == 0 and event.chooser_id == 1
-    assert event.accepted is True and event.turn == 3
-    child = state.agents[2]
+    assert child.id == 2 and state.agents[2] is child
     assert child.pos == (1, 1)
     assert child.role in (ROLE_PROVIDER, ROLE_CHOOSER)
     assert child.vitality == 6  # mean of 8 and 4
@@ -178,11 +174,11 @@ def test_reproduce_rejected_still_charges_both_by_default():
     dad = provider(0, (1, 1), food=30, tokens=10)
     mom = chooser(1, (1, 1), food=40, tokens=12)
     state = mating_state([dad, mom])
-    outcome, event, _, births, _ = propose(state, 0, 1, answer=False)
+    outcome, child, _, _ = propose(state, 0, 1, answer=False)
     assert outcome == "rejected"
     assert (dad.food, dad.tokens) == (24, 7)
     assert (mom.food, mom.tokens) == (28, 7)
-    assert births == [] and event.accepted is False and event.offspring_id is None
+    assert child is None and sorted(state.agents) == [0, 1]
 
 
 def test_reproduce_failure_ordering():
@@ -193,8 +189,8 @@ def test_reproduce_failure_ordering():
         provider(3, (1, 1)),
     ])
     # not a provider
-    outcome, event, _, _, _ = propose(state, 1, 0)
-    assert outcome == "failed_role" and event is None
+    outcome, child, _, _ = propose(state, 1, 0)
+    assert outcome == "failed_role" and child is None
     # bad targets: missing, self, dead
     assert propose(state, 0, 9)[0] == "failed_bad_target"
     assert propose(state, 0, 0)[0] == "failed_bad_target"
@@ -213,9 +209,9 @@ def test_reproduce_requires_spare_capacity_before_charging():
     crowd = [provider(0, (1, 1), food=30, tokens=10), chooser(1, (1, 1)),
              provider(2, (1, 1))]
     state = mating_state(crowd, cell_capacity=3)
-    outcome, event, delta, births, verdict = propose(state, 0, 1)
+    outcome, child, delta, verdict = propose(state, 0, 1)
     assert outcome == "failed_cell_full"
-    assert event is None and births == [] and delta.ops == []
+    assert child is None and delta.ops == []
     assert verdict.views == []  # chooser is never consulted
     assert (state.agents[0].food, state.agents[0].tokens) == (30, 10)
 
@@ -224,9 +220,9 @@ def test_reproduce_provider_insolvent_charges_nothing():
     dad = provider(0, (1, 1), food=5, tokens=10)
     mom = chooser(1, (1, 1))
     state = mating_state([dad, mom])
-    outcome, event, delta, _, verdict = propose(state, 0, 1)
+    outcome, child, delta, verdict = propose(state, 0, 1)
     assert outcome == "failed_insolvent"
-    assert event is None and delta.ops == [] and verdict.views == []
+    assert child is None and delta.ops == [] and verdict.views == []
     assert dad.food == 5
 
 
@@ -234,12 +230,12 @@ def test_reproduce_chooser_insolvent_spends_provider_cost():
     dad = provider(0, (1, 1), food=30, tokens=10)
     mom = chooser(1, (1, 1), food=5, tokens=12)
     state = mating_state([dad, mom])
-    outcome, event, _, births, verdict = propose(state, 0, 1)
+    outcome, child, _, verdict = propose(state, 0, 1)
     assert outcome == "chooser_insolvent"
     assert (dad.food, dad.tokens) == (24, 7)
     assert (mom.food, mom.tokens) == (5, 12)
-    assert births == [] and verdict.views == []
-    assert event.accepted is False and event.offspring_id is None
+    assert child is None and verdict.views == []
+    assert sorted(state.agents) == [0, 1]
 
 
 def test_reproduce_evaluation_fault_counts_as_reject():
@@ -254,11 +250,10 @@ def test_reproduce_evaluation_fault_counts_as_reject():
 
     policies = PolicyMap(lambda agent: Boom())
     delta = Delta(state)
-    births = []
-    outcome, event = resolve_reproduce(state, dad, Reproduce(target_id=1),
-                                       delta, policies, births)
-    assert outcome == "rejected" and births == []
-    assert event.accepted is False
+    outcome, child = resolve_reproduce(state, dad, Reproduce(target_id=1),
+                                       delta, policies)
+    assert outcome == "rejected" and child is None
+    assert sorted(state.agents) == [0, 1]
     assert (mom.food, mom.tokens) == (28, 7)  # rejection still costs her
 
 

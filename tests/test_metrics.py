@@ -12,7 +12,6 @@ from gridarena.gamelog import GameLog
 from gridarena.metrics import (
     ACTION_TYPES,
     MetricsError,
-    action_counts,
     normalized_entropy,
     per_turn_entropy,
     summarize,
@@ -89,7 +88,7 @@ def test_entropy_is_normalized(counts):
 
 
 def test_action_counts_orders_by_canonical_type_order():
-    counts = action_counts(scripted_log())
+    counts = summarize(scripted_log()).action_counts
     assert list(counts) == [t for t in ACTION_TYPES if t in counts]
     assert sum(counts.values()) > 0
 
@@ -159,7 +158,10 @@ def test_summarize_walks_the_log_once():
     log = CountingLog(scripted_log().events)
     summary = summarize(log)
     assert log.walks == 1
-    assert summary.action_counts == action_counts(log)
+    resolved = [event["action"].split(" ", 1)[0] for event in log.events
+                if event["type"] == "action" and event["outcome"] != "cancelled_dead"]
+    assert summary.action_counts == {name: resolved.count(name)
+                                     for name in ACTION_TYPES if name in resolved}
     assert summary.per_turn == per_turn_entropy(log)
 
 
