@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import ConfigError, GameConfig
+from .core import ConfigError, GameConfig, read_pairs
 from .gamelog import GameLog, LogError, ReplayError, replay
 from .gateway import GatewayConfig
 from .harness import (PRESETS, analyze, require_acknowledged, resolve_config,
@@ -28,16 +28,16 @@ def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
                                       "only when a policy assignment uses 'llm'")
     group.add_argument("--endpoint", help="chat-completion endpoint URL")
     group.add_argument("--model", help="model name sent in each request")
-    group.add_argument("--api-key-env", default="ARENA_API_KEY",
+    group.add_argument("--api-key-env", default=GatewayConfig.api_key_env_var,
                        help="environment variable holding the bearer token "
                             "(default: %(default)s)")
-    group.add_argument("--temperature", type=float, default=1.0,
+    group.add_argument("--temperature", type=float, default=GatewayConfig.temperature,
                        help="sampling temperature (default: %(default)s)")
-    group.add_argument("--max-tokens", type=int, default=256,
+    group.add_argument("--max-tokens", type=int, default=GatewayConfig.max_tokens,
                        help="completion length limit (default: %(default)s)")
-    group.add_argument("--gateway-timeout", type=float, default=60.0,
+    group.add_argument("--gateway-timeout", type=float, default=GatewayConfig.request_timeout,
                        help="per-request timeout in seconds (default: %(default)s)")
-    group.add_argument("--gateway-retries", type=int, default=4,
+    group.add_argument("--gateway-retries", type=int, default=GatewayConfig.max_retries,
                        help="retries for transient failures (default: %(default)s)")
 
 
@@ -57,23 +57,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     _add_gateway_args(parser)
 
 
-def _parse_overrides(pairs: list[str]) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    problems = []
-    for pair in pairs:
-        key, eq, value = pair.partition("=")
-        key, value = key.strip(), value.strip()
-        if not eq or not key:
-            problems.append(f"bad --set {pair!r}; expected KEY=VALUE")
-        elif key in overrides:
-            problems.append(f"--set names {key!r} twice")
-        else:
-            overrides[key] = value
-    if problems:
-        raise ConfigError(problems)
-    return overrides
-
-
 def _gateway_from_args(args: argparse.Namespace) -> GatewayConfig | None:
     if args.endpoint is None and args.model is None:
         return None
@@ -91,7 +74,7 @@ def _gateway_from_args(args: argparse.Namespace) -> GatewayConfig | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    run_experiment(args.preset, _parse_overrides(args.overrides),
+    run_experiment(args.preset, read_pairs(("--set", pair) for pair in args.overrides),
                    seed=args.seed, policies=args.policies, out_dir=args.out,
                    ack_overrides=args.ack_overrides,
                    gateway=_gateway_from_args(args), echo=print)
@@ -106,10 +89,10 @@ def _parse_sweep_values(text: str | None) -> list[str] | None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    overrides = _parse_overrides(args.overrides)
+    overrides = read_pairs(("--set", pair) for pair in args.overrides)
     require_acknowledged(overrides, args.ack_overrides)
     preset = PRESETS[args.preset]
-    preset = replace(preset, config=resolve_config(preset, overrides, None))
+    preset = replace(preset, config=resolve_config(preset, overrides, args.seed))
     sweep(preset, args.param, _parse_sweep_values(args.values),
           seed=args.seed, policies=args.policies, out_dir=args.out,
           parallel=args.parallel, gateway=_gateway_from_args(args), echo=print)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -74,6 +74,26 @@ def vitality_band(vitality: int) -> str:
 
 # --------------------------------------------------------------------------
 # Configuration
+
+
+def read_pairs(entries: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """Read ``(where, "key=value")`` entries into a dict, key and value
+    stripped; ``where`` ("line 3", "--set") starts each problem. A missing
+    ``=``, an empty key or a key given twice is fatal."""
+    pairs: dict[str, str] = {}
+    problems = []
+    for where, text in entries:
+        key, eq, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq or not key:
+            problems.append(f"{where}: expected key=value, got {text!r}")
+        elif key in pairs:
+            problems.append(f"{where}: duplicate key {key!r}")
+        else:
+            pairs[key] = value
+    if problems:
+        raise ConfigError(problems)
+    return pairs
 
 
 @dataclass
@@ -184,26 +204,11 @@ class GameConfig:
 
     @classmethod
     def from_flat_text(cls, text: str) -> "GameConfig":
-        """Parse ``key=value`` lines (blanks and ``#`` comments skipped); a
-        malformed line or a duplicate key is fatal, and ``parse`` checks the rest."""
-        problems = []
-        seen: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                problems.append(f"line {lineno}: expected key=value, got {line!r}")
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in seen:
-                problems.append(f"line {lineno}: duplicate key {key!r}")
-            else:
-                seen[key] = value
-        if problems:
-            raise ConfigError(problems)
-        return cls.parse(seen)
+        """Parse ``key=value`` lines (blanks and ``#`` comments skipped) with
+        ``read_pairs``; ``parse`` checks the rest."""
+        lines = enumerate(map(str.strip, text.splitlines()), start=1)
+        return cls.parse(read_pairs((f"line {lineno}", line) for lineno, line in lines
+                                    if line and not line.startswith("#")))
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

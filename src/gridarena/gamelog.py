@@ -56,6 +56,10 @@ RECORD_KEYS: dict[str, frozenset[str]] = {
 }
 
 
+# What reading a record of the wrong shape (a nested key missing, say) raises.
+MALFORMED_RECORD = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+
 class ReplayError(ValueError):
     """Re-execution diverged from the log, or the log is unusable."""
 
@@ -368,15 +372,11 @@ def replay(log: GameLog) -> ReplayResult:
     from . import engine  # engine imports this module
 
     events = log.events
-    if not events or events[0]["type"] != "header":
-        raise ReplayError("log does not start with a header record")
-    if events[-1]["type"] != "end":
-        raise ReplayError("log does not finish with an end record")
+    header, _ = log.header, log.end  # LogError when either record is missing
     script = _Script(events)
     config = log.config()
     try:
         # the header's own snapshots bound the set-up work by the size of the log
-        header = events[0]
         if (len(header["agents"]) != config.n_agents
                 or len(header["nodes"]) != config.n_food_nodes + config.n_token_nodes):
             raise ReplayError(f"{script.where()}: snapshot counts differ from the config")
@@ -388,7 +388,7 @@ def replay(log: GameLog) -> ReplayResult:
         script.check(end_event(state, reason))
     except ReplayError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except MALFORMED_RECORD as exc:
         raise ReplayError(f"{script.where()}: malformed record "
                           f"({type(exc).__name__}: {exc})") from exc
     if script.at != len(events):

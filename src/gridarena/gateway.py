@@ -21,6 +21,7 @@ import http.client
 import json
 import os
 import random
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -82,8 +83,10 @@ class GatewayConfig:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not self.request_timeout > 0:
-            raise ValueError(f"request_timeout must be > 0, got {self.request_timeout!r}")
+        # ``socket.settimeout`` overflows past TIMEOUT_MAX, failing each request
+        if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"request_timeout must be > 0 and <= {threading.TIMEOUT_MAX}, "
+                             f"got {self.request_timeout!r}")
 
 
 def _request_body(prompt: str, config: GatewayConfig) -> dict:

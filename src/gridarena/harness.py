@@ -18,13 +18,14 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .core import (AgentState, ConfigError, GameConfig, ROLE_CHOOSER, ROLE_PROVIDER,
                    VARIANT_SEXUAL_SELECTION, new_game)
 from .engine import run_game
-from .gamelog import GameLog, LogError
+from .gamelog import MALFORMED_RECORD, GameLog, LogError
 from .gateway import GatewayConfig
 from .metrics import ACTION_TYPES, MetricsError, MetricsSummary, summarize
 from .policy import LLMPolicy, Policy, PolicyMap, SCRIPTED_POLICIES, make_scripted
@@ -206,9 +207,13 @@ def experiment_id_for(config: GameConfig) -> str:
 def resolve_config(preset: Preset, overrides: Mapping[str, Any],
                    seed: int | None) -> GameConfig:
     """The preset's config with ``overrides`` (and ``seed``, if given) merged
-    in, read by ``GameConfig.parse``."""
+    in, read by ``GameConfig.parse``. Overrides that set another seed than
+    ``seed`` are refused, as one of the two would be dropped."""
     values = {**preset.config.as_dict(), **overrides}
     if seed is not None:
+        if "seed" in overrides and GameConfig.parse(values).seed != seed:
+            raise ConfigError([f"overrides set seed={overrides['seed']} but seed={seed} "
+                               "is also given (CLI: drop --set seed or --seed)"])
         values["seed"] = seed
     return GameConfig.parse(values)
 
@@ -317,16 +322,19 @@ def sweep(preset: "str | Preset | GameConfig",
     Runs are independent; failures are recorded and do not stop the sweep.
     With an output directory, the combined report tables are written there
     from the runs' summaries; no log is read back. A sweep over ``seed``
-    takes no ``seed``, which would replace every swept value.
+    takes no ``seed``, which would replace every swept value. A sweep over
+    the preset's axis takes its values when given none. In parallel, Ctrl-C
+    cancels the queued games and waits for the running ones.
     """
     chosen = resolve_preset(preset)
+    axis, axis_values = chosen.sweep or (None, None)
     if parameter is None:
-        if chosen.sweep is None:
+        if axis is None:
             raise ConfigError([f"preset {chosen.name} has no default sweep; "
                                "pass a parameter and values"])
-        parameter = chosen.sweep[0]
-        if values is None:
-            values = chosen.sweep[1]
+        parameter = axis
+    if values is None and parameter == axis:
+        values = axis_values
     if parameter not in GameConfig.FIELDS:
         raise ConfigError([f"unknown sweep parameter {parameter!r}"])
     if parameter == "seed" and seed is not None:
@@ -346,20 +354,19 @@ def sweep(preset: "str | Preset | GameConfig",
 
     records: list[ExperimentRecord] = []
     failures: list[tuple[Any, str]] = []
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = [(value, pool.submit(one, value)) for value in values]
-            for value, future in futures:
-                try:
-                    records.append(future.result())
-                except Exception as exc:
-                    failures.append((value, f"{type(exc).__name__}: {exc}"))
-    else:
-        for value in values:
+    # serially, each game runs in this thread when its result is asked for
+    pool = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
+    try:
+        results = [pool.submit(one, value).result if pool else partial(one, value)
+                   for value in values]
+        for value, result in zip(values, results):
             try:
-                records.append(one(value))
+                records.append(result())
             except Exception as exc:
                 failures.append((value, f"{type(exc).__name__}: {exc}"))
+    finally:  # on Ctrl-C, queued games never start
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     for value, message in failures:
         warnings.warn(f"sweep run {parameter}={value} failed: {message}", stacklevel=2)
@@ -476,7 +483,7 @@ def _summarize_file(path: "str | Path") -> tuple[str, GameConfig, MetricsSummary
         return experiment_id_for(config), config, summarize(log)
     except (LogError, MetricsError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except MALFORMED_RECORD as exc:
         raise LogError(f"{path}: malformed log ({type(exc).__name__}: {exc})") from exc
 
 

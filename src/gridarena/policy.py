@@ -217,6 +217,9 @@ class Policy:
         return out
 
     def evaluate_proposal(self, view: Any) -> bool:
+        """A chooser's verdict on a REPRODUCE proposal. It may raise (a
+        gateway fault, say): ``PolicyMap.evaluate_proposal`` turns any fault
+        into a rejection."""
         return True
 
 
@@ -422,15 +425,11 @@ class Suitor(ScriptedPolicy):
         return PolicyDecision(Move((self.rng.choice("NSEW"),)))
 
 
-class PickyChooser(ScriptedPolicy):
+class PickyChooser(GreedyGatherer):
     """Chooser baseline: gathers to stay solvent and accepts only proposals
     from providers of robust-or-better vitality."""
 
     ACCEPT_VITALITY_FLOOR = 6
-
-    def decide(self, obs: Observation) -> PolicyDecision:
-        action = self._gather_action(obs)
-        return PolicyDecision(action if action is not None else REST)
 
     def evaluate_proposal(self, view: Any) -> bool:
         return view.provider_vitality >= self.ACCEPT_VITALITY_FLOOR
@@ -494,8 +493,5 @@ class LLMPolicy(Policy):
         return out
 
     def evaluate_proposal(self, view: Any) -> bool:
-        try:
-            reply = complete(build_proposal_prompt(view), self.gateway_config)
-        except GatewayError:
-            return False
+        reply = complete(build_proposal_prompt(view), self.gateway_config)
         return parse_verdict(reply) is True

@@ -4,6 +4,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -38,6 +39,18 @@ def test_gateway_config_validation():
 def test_gateway_config_rejects_a_non_positive_timeout(timeout):
     with pytest.raises(ValueError, match="request_timeout"):
         GatewayConfig(endpoint_url="http://x", model_name="m", request_timeout=timeout)
+
+
+@pytest.mark.parametrize("timeout", [float("inf"), 1e12])
+def test_gateway_config_rejects_a_timeout_past_timeout_max(timeout):
+    # socket.settimeout overflows past threading.TIMEOUT_MAX
+    with pytest.raises(ValueError, match="request_timeout"):
+        GatewayConfig(endpoint_url="http://x", model_name="m", request_timeout=timeout)
+
+
+def test_a_timeout_max_gateway_timeout_completes(stub_gateway):
+    config = gateway_config(stub_gateway, request_timeout=threading.TIMEOUT_MAX)
+    assert complete("hello", config).startswith("echo:")
 
 
 @pytest.mark.parametrize("url", ["localhost:8000/v1", "127.0.0.1:8000/v1",

@@ -1,11 +1,13 @@
 """Presets, policy assignment parsing, run artifacts, sweeps, reports, CLI."""
 
+import _thread
 import copy
 import csv
 import dataclasses
 import hashlib
 import json
 import random
+import time
 import weakref
 
 import pytest
@@ -349,6 +351,56 @@ def test_sweep_over_seed_refuses_a_fixed_seed(tmp_path):
     assert not (tmp_path / "api").exists() and not out.exists()
 
 
+def test_a_seed_override_that_clashes_with_seed_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="seed=3 but seed=5"):
+        run_experiment("P1", {"seed": 3, "max_turns": 2}, seed=5, ack_overrides=True)
+    # the same seed given both ways is no clash
+    record = run_experiment("P1", {"seed": "5", "max_turns": "2"}, seed=5,
+                            ack_overrides=True)
+    assert record.config.seed == 5
+    out = tmp_path / "cli"
+    assert cli("run", "--preset", "P1", "--set", "seed=3", "--seed", "5",
+               "--ack-overrides", "--out", str(out)) == 2
+    assert cli("sweep", "--preset", "P2b", "--set", "seed=3", "--seed", "5",
+               "--ack-overrides", "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_sweep_over_the_preset_axis_defaults_to_its_values(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli("sweep", "--preset", "P2b", "--param", "upkeep", "--set", "max_turns=3",
+               "--ack-overrides", "--out", str(out)) == 0
+    configs = [GameConfig.read(path) for path in sorted(out.glob("*/config.txt"))]
+    assert sorted(c.upkeep for c in configs) == list(PRESETS["P2b"].sweep[1])
+    assert len(list(out.glob("*/game.log"))) == 5
+    with pytest.raises(ConfigError, match="needs a value list"):
+        sweep("P2b", "max_turns")
+
+
+@pytest.mark.parametrize("parallel, most_started", [(2, 4), (1, 1)])
+def test_interrupting_a_sweep_starts_no_queued_game(monkeypatch, parallel, most_started):
+    # the first game raises Ctrl-C in the main thread once every game is
+    # queued; the main thread sees it when that game ends, by when at most
+    # two more games have started in the freed workers, and none can start
+    # until those end
+    started = []
+    real_run = harness.run_experiment
+
+    def slow_run(preset, overrides, **kwargs):
+        started.append(overrides["upkeep"])
+        if overrides["upkeep"] == 0:
+            time.sleep(0.1)
+            _thread.interrupt_main()
+        time.sleep(0.3)
+        return real_run(preset, overrides, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", slow_run)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(small_config(max_turns=1), "upkeep", [0, 1, 2, 3, 4],
+              policies="scripted:rest", parallel=parallel)
+    assert 0 in started and len(started) <= most_started
+
+
 def test_sweep_requires_axis_for_presets_without_one():
     with pytest.raises(ConfigError):
         sweep("P1")
@@ -620,6 +672,31 @@ def test_cli_non_positive_gateway_timeout_is_a_config_error(timeout, capsys):
                "--gateway-timeout", timeout) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "request_timeout" in err
+
+
+@pytest.mark.parametrize("timeout", ["inf", "1e12"])
+def test_cli_unbounded_gateway_timeout_is_a_config_error(timeout, capsys):
+    assert cli("run", "--preset", "P1", "--policies", "llm",
+               "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+               "--gateway-timeout", timeout) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "request_timeout" in err
+
+
+@pytest.mark.parametrize("pair, problem", [
+    ("upkeep", "expected key=value, got 'upkeep'"),
+    ("=3", "expected key=value, got '=3'"),
+    ("upkeep=4", "duplicate key 'upkeep'"),
+])
+def test_set_pairs_and_config_lines_share_one_reader(tmp_path, capsys, pair, problem):
+    assert cli("run", "--preset", "P1", "--set", "upkeep=2", "--set", pair,
+               "--ack-overrides") == 2
+    assert capsys.readouterr().err == f"config error: --set: {problem}\n"
+    path = tmp_path / "config.txt"
+    path.write_text(GameConfig().to_flat_text() + pair + "\n")
+    assert cli("validate-config", str(path)) == 2
+    line = len(GameConfig.FIELDS) + 1
+    assert capsys.readouterr().err == f"config error: line {line}: {problem}\n"
 
 
 def test_cli_exit_code_three_for_runtime_faults(tmp_path):

@@ -25,6 +25,7 @@ from gridarena.core import (
     manhattan,
 )
 from gridarena.engine import NearbyAgent, ObservedNode, Observation
+from gridarena.gateway import GatewayError
 from gridarena.mating import ProposalView
 from gridarena.policy import (
     LLMPolicy,
@@ -471,3 +472,22 @@ def test_llm_policy_evaluates_proposals(stub_gateway):
     assert policy.evaluate_proposal(view) is True
     stub_gateway.responder = lambda prompt: "hmm"
     assert policy.evaluate_proposal(view) is False
+
+
+def test_llm_chooser_gateway_fault_raises_and_the_map_rejects(stub_gateway):
+    stub_gateway.responder = lambda prompt: "ACCEPT"
+    policy = LLMPolicy(gateway_config(stub_gateway, max_retries=0))
+    policy_map = PolicyMap(lambda agent: policy)
+    chooser = make_agent(1, (0, 0), role=ROLE_CHOOSER)
+    view = ProposalView(provider_id=0, provider_attrs=flat_attrs(5),
+                        provider_vitality=8, provider_food=30,
+                        provider_tokens=9, chooser_id=1, chooser_food=40,
+                        chooser_tokens=12, chooser_vitality=5,
+                        food_cost=12, token_cost=5, turn=2)
+    stub_gateway.status_script = [500]
+    with pytest.raises(GatewayError):
+        policy.evaluate_proposal(view)
+    stub_gateway.status_script = [500]
+    assert policy_map.evaluate_proposal(chooser, view) is False
+    assert policy_map.evaluate_proposal(chooser, view) is True  # the gateway is back
+    assert stub_gateway.request_count == 3
