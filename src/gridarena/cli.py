@@ -82,10 +82,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep_values(text: str | None) -> list[str] | None:
-    """Split ``--values``; ``GameConfig.parse`` reads each value."""
+    """Split ``--values``; ``GameConfig.parse`` reads each value. A list that
+    splits to no value is refused, as it would play no game."""
     if text is None:
         return None
-    return [part.strip() for part in text.split(",") if part.strip()]
+    values = [part.strip() for part in text.split(",") if part.strip()]
+    if not values:
+        raise ConfigError([f"--values {text!r} names no value"])
+    return values
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -141,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--values", help="comma-separated values "
                               "(default: the preset's sweep values)")
     sweep_parser.add_argument("--parallel", type=int, default=1,
-                              help="independent runs in flight (default: %(default)s)")
+                              help="games played at once, above 1 in forked worker "
+                                   "processes (default: %(default)s)")
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     analyze_parser = commands.add_parser("analyze", help="build reports from game logs")

@@ -43,6 +43,10 @@ class ConfigError(ValueError):
         self.problems = list(problems)
         super().__init__("invalid configuration: " + "; ".join(self.problems))
 
+    def __reduce__(self):
+        # rebuilt from ``problems``, not the message, when a sweep worker sends it back
+        return type(self), (self.problems,)
+
 
 def round_half_up(x: float) -> int:
     """Round to nearest integer, halves away from zero toward +inf."""

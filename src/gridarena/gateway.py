@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import http.client
 import json
+import math
 import os
 import random
 import threading
@@ -83,6 +84,11 @@ class GatewayConfig:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        # NaN and infinities have no JSON form, so the request body could not carry them
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens!r}")
         # ``socket.settimeout`` overflows past TIMEOUT_MAX, failing each request
         if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:
             raise ValueError(f"request_timeout must be > 0 and <= {threading.TIMEOUT_MAX}, "

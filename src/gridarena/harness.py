@@ -14,9 +14,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import multiprocessing
+import signal
+import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+# not used here, but perfbench's traced rounds rebind this name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -308,6 +314,12 @@ def run_experiment(preset: "str | Preset | GameConfig",
                             out_dir=exp_dir, log_path=log_path)
 
 
+def _play(*args: Any, **kwargs: Any) -> ExperimentRecord:
+    """One sweep game in a worker process. ``run_experiment`` is looked up
+    when called, so a worker runs whatever the name held at fork time."""
+    return run_experiment(*args, **kwargs)
+
+
 def sweep(preset: "str | Preset | GameConfig",
           parameter: str | None = None,
           values: Sequence[Any] | None = None, *,
@@ -323,8 +335,12 @@ def sweep(preset: "str | Preset | GameConfig",
     With an output directory, the combined report tables are written there
     from the runs' summaries; no log is read back. A sweep over ``seed``
     takes no ``seed``, which would replace every swept value. A sweep over
-    the preset's axis takes its values when given none. In parallel, Ctrl-C
-    cancels the queued games and waits for the running ones.
+    the preset's axis takes its values when given none.
+
+    ``parallel`` (at least 1) games run at once. Above 1, they run in worker
+    processes forked from this one (the ``fork`` start method; POSIX only),
+    and the records come back to this process. Ctrl-C then cancels the games
+    not yet started and waits for the running ones, which ignore it.
     """
     chosen = resolve_preset(preset)
     axis, axis_values = chosen.sweep or (None, None)
@@ -340,6 +356,8 @@ def sweep(preset: "str | Preset | GameConfig",
     if parameter == "seed" and seed is not None:
         raise ConfigError([f"a sweep over seed cannot also fix seed={seed} "
                            "(CLI: drop --seed)"])
+    if parallel < 1:
+        raise ConfigError([f"parallel must be >= 1, got {parallel}"])
     if values is None:
         raise ConfigError([f"sweep over {parameter!r} needs a value list"])
     values = list(values)
@@ -347,18 +365,32 @@ def sweep(preset: "str | Preset | GameConfig",
         warnings.warn("sweep value list is empty; nothing to run", stacklevel=2)
         return []
 
-    def one(value: Any) -> ExperimentRecord:
-        return run_experiment(chosen, {parameter: value}, seed=seed,
-                              policies=policies, out_dir=out_dir,
-                              ack_overrides=True, gateway=gateway)
-
+    play = partial(_play, chosen, seed=seed, policies=policies, out_dir=out_dir,
+                   ack_overrides=True, gateway=gateway)
+    # workers ignore Ctrl-C, so a game that has started writes all its files
+    pool = None if parallel == 1 else ProcessPoolExecutor(
+        max_workers=min(parallel, len(values)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
     records: list[ExperimentRecord] = []
     failures: list[tuple[Any, str]] = []
-    # serially, each game runs in this thread when its result is asked for
-    pool = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
     try:
-        results = [pool.submit(one, value).result if pool else partial(one, value)
-                   for value in values]
+        if pool is None:  # each game runs in this process when its result is asked for
+            results = [partial(play, {parameter: value}) for value in values]
+        else:
+            # a game is handed over only once a worker is free, as shutting
+            # down cannot cancel games already in the pool's queue
+            slots = threading.Semaphore(parallel)
+            results = []
+            for value in values:
+                slots.acquire()
+                try:
+                    future = pool.submit(play, {parameter: value})
+                except BrokenProcessPool as exc:  # a worker died; the game fails
+                    future = Future()
+                    future.set_exception(exc)
+                future.add_done_callback(lambda _: slots.release())
+                results.append(future.result)
         for value, result in zip(values, results):
             try:
                 records.append(result())

@@ -145,10 +145,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
-            self.wfile.write(payload)
         finally:
+            # lowered before the body goes out: once it arrives, the client
+            # may send its next request before this handler returns
             with server.lock:
                 server.in_flight -= 1
+        self.wfile.write(payload)
 
     do_GET = do_POST  # records a client that followed a redirect as a GET
 

@@ -1,6 +1,7 @@
 """Config validation, serialization, helpers, and seeded world setup."""
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from gridarena.core import (
     vitality_band,
 )
 from gridarena.gamelog import GameLog, header_event
+from gridarena.gateway import GatewayError
 from gridarena.harness import resolve_config, resolve_preset
 
 from conftest import small_config
@@ -83,6 +85,17 @@ def test_config_collects_all_problems():
     with pytest.raises(ConfigError) as excinfo:
         config.validate()
     assert excinfo.value.problems == problems
+
+
+def test_errors_keep_their_message_and_fields_through_pickle():
+    # a sweep worker sends its game's error back to the sweep pickled
+    error = ConfigError(["upkeep must be >= 0", "seed must be an integer"])
+    copied = pickle.loads(pickle.dumps(error))
+    assert str(copied) == str(error) == \
+        "invalid configuration: upkeep must be >= 0; seed must be an integer"
+    assert copied.problems == error.problems
+    failure = pickle.loads(pickle.dumps(GatewayError("HTTP 503", status=503, attempts=5)))
+    assert (str(failure), failure.status, failure.attempts) == ("HTTP 503", 503, 5)
 
 
 @pytest.mark.parametrize("name,value", [

@@ -48,6 +48,15 @@ def test_gateway_config_rejects_a_timeout_past_timeout_max(timeout):
         GatewayConfig(endpoint_url="http://x", model_name="m", request_timeout=timeout)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("temperature", float("nan")), ("temperature", float("inf")),
+    ("temperature", -0.5), ("max_tokens", 0), ("max_tokens", -5)])
+def test_gateway_config_rejects_unsendable_sampling_fields(field, value):
+    # NaN and infinities have no JSON form; a completion needs at least one token
+    with pytest.raises(ValueError, match=field):
+        GatewayConfig(endpoint_url="http://x", model_name="m", **{field: value})
+
+
 def test_a_timeout_max_gateway_timeout_completes(stub_gateway):
     config = gateway_config(stub_gateway, request_timeout=threading.TIMEOUT_MAX)
     assert complete("hello", config).startswith("echo:")

@@ -6,9 +6,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import threading
 import time
+import warnings
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -333,9 +337,9 @@ def test_sweep_parallel_matches_serial():
 
 @pytest.mark.parametrize("preset, values", [("P2", PRESETS["P2"].sweep[1]), ("V7", [1, 2, 3])])
 def test_sweep_parallel_matches_serial_with_observing_policies(preset, values):
-    # greedy, suitor and picky read their observations every turn, so two
-    # games at once exercise the per-turn sight index and the log encoder
-    # under threads, at the presets' own turn counts
+    # greedy, suitor and picky read their observations every turn, so games
+    # in forked workers exercise the per-turn sight index and the log
+    # encoder there, at the presets' own turn counts
     serial = sweep(preset, "upkeep", values)
     parallel = sweep(preset, "upkeep", values, parallel=2)
     assert len(serial) == len(values)
@@ -377,28 +381,87 @@ def test_sweep_over_the_preset_axis_defaults_to_its_values(tmp_path):
         sweep("P2b", "max_turns")
 
 
+# Stand-ins for run_experiment that sweep workers inherit when forked; a
+# worker's side effects reach the test only through files.
+_real_run_experiment = run_experiment
+
+
+def _marked_slow_run(preset, overrides, **kwargs):
+    """Mark the game as started in the output directory, then play it slowly."""
+    (Path(kwargs["out_dir"]) / f"started-{overrides['upkeep']}").touch()
+    time.sleep(0.3)
+    return _real_run_experiment(preset, overrides, **kwargs)
+
+
+def _dying_run(preset, overrides, **kwargs):
+    """End the worker process mid-game."""
+    os._exit(1)
+
+
 @pytest.mark.parametrize("parallel, most_started", [(2, 4), (1, 1)])
-def test_interrupting_a_sweep_starts_no_queued_game(monkeypatch, parallel, most_started):
-    # the first game raises Ctrl-C in the main thread once every game is
-    # queued; the main thread sees it when that game ends, by when at most
-    # two more games have started in the freed workers, and none can start
-    # until those end
-    started = []
-    real_run = harness.run_experiment
+def test_interrupting_a_sweep_starts_no_queued_game(monkeypatch, tmp_path, parallel,
+                                                    most_started):
+    # Ctrl-C comes while the first games sleep; this thread sees it once a
+    # game ends, by when at most two more games can have started in the
+    # freed workers, and none can start until those end
+    monkeypatch.setattr(harness, "run_experiment", _marked_slow_run)
+    timer = threading.Timer(0.1, _thread.interrupt_main)
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            sweep(small_config(max_turns=1), "upkeep", [0, 1, 2, 3, 4],
+                  policies="scripted:rest", out_dir=tmp_path, parallel=parallel)
+    finally:
+        timer.cancel()
+    started = [path.name for path in tmp_path.glob("started-*")]
+    assert "started-0" in started and len(started) <= most_started
 
-    def slow_run(preset, overrides, **kwargs):
-        started.append(overrides["upkeep"])
-        if overrides["upkeep"] == 0:
-            time.sleep(0.1)
-            _thread.interrupt_main()
-        time.sleep(0.3)
-        return real_run(preset, overrides, **kwargs)
 
-    monkeypatch.setattr(harness, "run_experiment", slow_run)
-    with pytest.raises(KeyboardInterrupt):
-        sweep(small_config(max_turns=1), "upkeep", [0, 1, 2, 3, 4],
-              policies="scripted:rest", parallel=parallel)
-    assert 0 in started and len(started) <= most_started
+def test_a_dead_sweep_worker_fails_its_games_not_the_sweep(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "run_experiment", _dying_run)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = sweep(small_config(max_turns=1), "upkeep", [0, 1, 2, 3],
+                        policies="scripted:rest", out_dir=tmp_path, parallel=2)
+    assert records == []
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 4
+    for value, message in zip([0, 1, 2, 3], messages):
+        assert message.startswith(f"sweep run upkeep={value} failed: BrokenProcessPool")
+    assert (tmp_path / "failures.md").read_text().count("BrokenProcessPool") == 4
+
+
+def test_a_parallel_sweep_warns_of_the_serial_sweeps_failures():
+    def failure_warnings(parallel):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = sweep(small_config(max_turns=2), "upkeep", [-1, "x", 2],
+                            policies="scripted:rest", parallel=parallel)
+        assert [r.config.upkeep for r in records] == [2]
+        return [str(w.message) for w in caught]
+
+    serial = failure_warnings(1)
+    assert len(serial) == 2 and "upkeep must be >= 0" in serial[0]
+    assert failure_warnings(2) == serial
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_sweep_refuses_fewer_than_one_game_at_once(tmp_path, parallel, capsys):
+    with pytest.raises(ConfigError, match="parallel must be >= 1"):
+        sweep("P2b", out_dir=tmp_path / "api", parallel=parallel)
+    out = tmp_path / "cli"
+    assert cli("sweep", "--preset", "P2b", "--parallel", str(parallel),
+               "--out", str(out)) == 2
+    assert "parallel must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "api").exists() and not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", ", ,", ","])
+def test_cli_sweep_values_that_name_no_value_are_a_config_error(tmp_path, text, capsys):
+    out = tmp_path / "sweep"
+    assert cli("sweep", "--preset", "P2b", "--values", text, "--out", str(out)) == 2
+    assert "names no value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_requires_axis_for_presets_without_one():
@@ -672,6 +735,15 @@ def test_cli_non_positive_gateway_timeout_is_a_config_error(timeout, capsys):
                "--gateway-timeout", timeout) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "request_timeout" in err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--temperature", "nan", "temperature"), ("--max-tokens", "-5", "max_tokens")])
+def test_cli_unsendable_sampling_field_is_a_config_error(flag, value, field, capsys):
+    assert cli("run", "--preset", "P1", "--policies", "llm",
+               "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", flag, value) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
 
 
 @pytest.mark.parametrize("timeout", ["inf", "1e12"])
