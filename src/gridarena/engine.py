@@ -35,6 +35,7 @@ where a decision exposes ``action`` (an Action) and ``parse_status``
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
@@ -494,10 +495,23 @@ def step(state: GameState, policies: Any) -> list[dict[str, Any]]:
 
 
 def run_game(state: GameState, policies: Any) -> GameLog:
-    """Step ``state`` to termination and return the complete event log."""
-    log = GameLog()
-    log.append(header_event(state))
-    while (reason := check_termination(state)) is None:
-        log.extend(step(state, policies))
-    log.append(end_event(state, reason))
-    return log
+    """Step ``state`` to termination and return the complete event log.
+
+    Python's cyclic garbage collector is paused, process-wide, while the
+    game plays, and left on or off afterwards as it was found, on error too.
+    """
+    # A game's records and state hold no reference cycles, so a collection
+    # during the game frees nothing and only re-walks the growing log;
+    # reference counting frees what the game drops.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        log = GameLog()
+        log.append(header_event(state))
+        while (reason := check_termination(state)) is None:
+            log.extend(step(state, policies))
+        log.append(end_event(state, reason))
+        return log
+    finally:
+        if was_enabled:
+            gc.enable()

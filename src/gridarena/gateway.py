@@ -166,19 +166,23 @@ def complete(prompt: str, config: GatewayConfig) -> str:
             moved = f" to {location}; set endpoint_url to it" if 300 <= status < 400 else ""
             last_error = GatewayError(f"HTTP {status}{moved}", status=status, attempts=attempts)
             if status != 429 and status < 500:
-                raise last_error
+                break
         if attempts <= config.max_retries:
             time.sleep(_backoff_delay(attempts - 1, config))
 
     assert last_error is not None
-    raise last_error
+    try:
+        raise last_error
+    finally:
+        last_error = None  # its traceback holds this frame: keep no cycle
 
 
 def _complete_or_error(prompt: str, config: GatewayConfig) -> str | GatewayError:
     try:
         return complete(prompt, config)
     except GatewayError as exc:
-        return exc
+        # the traceback's frames would hold the future that holds it
+        return exc.with_traceback(None)
 
 
 def batch_complete(prompts: list[str], config: GatewayConfig) -> list[str | GatewayError]:

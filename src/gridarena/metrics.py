@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping
 
-from .gamelog import GameLog
+from .gamelog import GameLog, LogError
 
 ACTION_TYPES = ("GATHER", "MOVE", "ATTACK", "TRADE", "REST", "TRAIN",
                 "COMMUNICATE", "REPRODUCE")
@@ -134,7 +134,7 @@ def summarize(log: GameLog) -> MetricsSummary:
     """Compute the summary for one complete game log."""
     try:
         end = log.end
-    except Exception as exc:
+    except LogError as exc:
         raise MetricsError(f"log has no termination record: {exc}") from exc
 
     counts, tallies, per_turn = _walk(log)

@@ -201,7 +201,8 @@ class Policy:
     """Decision maker for one or more agents.
 
     ``decide_batch`` isolates failures per observation by returning the caught
-    exception in that slot; the engine substitutes REST and logs the fault.
+    exception in that slot, without its traceback, whose frames would hold
+    the list that holds it; the engine substitutes REST and logs the fault.
     """
 
     def decide(self, obs: Observation) -> PolicyDecision:
@@ -213,7 +214,7 @@ class Policy:
             try:
                 out.append(self.decide(obs))
             except Exception as exc:
-                out.append(exc)
+                out.append(exc.with_traceback(None))
         return out
 
     def evaluate_proposal(self, view: Any) -> bool:
@@ -254,7 +255,7 @@ class PolicyMap:
             try:
                 batch = list(policy.decide_batch([observations[a] for a in ids]))
             except Exception as exc:
-                batch = [exc] * len(ids)
+                batch = [exc.with_traceback(None)] * len(ids)
             if len(batch) != len(ids):
                 error = RuntimeError(
                     f"policy returned {len(batch)} decisions for {len(ids)} observations")

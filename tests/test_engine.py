@@ -1,6 +1,8 @@
 """Turn mechanics: upkeep, observation, each action resolver, turn order,
 termination, and fault isolation."""
 
+import gc
+import socket
 from dataclasses import replace
 
 import pytest
@@ -25,6 +27,7 @@ from gridarena.core import (
     VARIANTS,
     VISION_RANGE,
     Attributes,
+    GameConfig,
     chebyshev,
     new_game,
 )
@@ -44,10 +47,12 @@ from gridarena.engine import (
     trade_accept_probability,
 )
 from gridarena.gamelog import Delta
+from gridarena.gateway import GatewayConfig
 from gridarena.harness import PRESETS, build_policy_map
 from gridarena.policy import Policy, PolicyDecision, PolicyMap, make_scripted
 
 from conftest import (
+    KEY_ENV,
     flat_attrs,
     food_node,
     make_agent,
@@ -615,3 +620,102 @@ def test_scripted_runs_are_deterministic():
         new_game(config),
         PolicyMap(lambda agent: make_scripted("walker", agent.id, config)))
     assert make().to_text() == make().to_text()
+
+
+# --------------------------------------------------------------------------
+# The collector pause in run_game
+
+
+class Interrupting(Policy):
+    def decide(self, obs):
+        raise KeyboardInterrupt
+
+
+class CollectorWatcher(Policy):
+    def __init__(self, seen):
+        self.seen = seen
+
+    def decide(self, obs):
+        self.seen.append(gc.isenabled())
+        return PolicyDecision(action=REST)
+
+
+def test_run_game_pauses_the_collector_and_restores_it():
+    config = small_config(n_agents=2, max_turns=3)
+    seen = []
+    assert gc.isenabled()
+    run_game(new_game(config), PolicyMap(lambda agent: CollectorWatcher(seen)))
+    assert seen and not any(seen)
+    assert gc.isenabled()
+    with pytest.raises(KeyboardInterrupt):
+        run_game(new_game(config), PolicyMap(lambda agent: Interrupting()))
+    assert gc.isenabled()
+
+
+def test_run_game_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        run_game(new_game(small_config(n_agents=2, max_turns=3)), plan_map({}))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+class RaisingDecide(Policy):
+    def decide(self, obs):
+        raise RuntimeError("decide failed")
+
+
+class RaisingBatch(Policy):
+    def decide_batch(self, observations):
+        raise RuntimeError("batch failed")
+
+
+def preset_game(name, **overrides):
+    config = replace(PRESETS[name].config, **overrides)
+    return config, build_policy_map(PRESETS[name].policy_assignment, config)
+
+
+def crowd_shaped_game():
+    config = GameConfig(grid_width=12, grid_height=12, n_food_nodes=10, n_token_nodes=5,
+                        n_agents=24, upkeep=1, max_turns=30, seed=11)
+    return config, build_policy_map("mixed:0-5=aggressor,6-11=trader,12-17=walker,*=greedy",
+                                    config)
+
+
+def llm_refused_game(port):
+    config = GameConfig(n_agents=8, max_turns=5, seed=1)
+    gateway = GatewayConfig(endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions",
+                            model_name="m", api_key_env_var=KEY_ENV, max_retries=0)
+    return config, build_policy_map("llm", config, gateway)
+
+
+GAMES = {
+    "P1": lambda port: preset_game("P1"),
+    "V7": lambda port: preset_game("V7", seed=3),
+    "crowd-shaped": lambda port: crowd_shaped_game(),
+    "P1-decide-raises": lambda port: (
+        PRESETS["P1"].config, PolicyMap(lambda agent: RaisingDecide())),
+    "P1-decide_batch-raises": lambda port: (
+        PRESETS["P1"].config, PolicyMap(lambda agent: RaisingBatch())),
+    "llm-refused": llm_refused_game,
+}
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_a_game_makes_no_reference_cycles(monkeypatch, name):
+    # run_game pauses the collector because a game, faults included, leaves
+    # nothing for it: an engine or policy change that makes a cycle fails here
+    monkeypatch.setenv(KEY_ENV, "stub-key")
+    with socket.socket() as sock:  # bound, never listening: connections are refused
+        sock.bind(("127.0.0.1", 0))
+        config, policies = GAMES[name](sock.getsockname()[1])
+        gc.collect()
+        gc.disable()
+        try:
+            log = run_game(new_game(config), policies)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+    faults = sum(1 for record in log if record["type"] == "policy_fault")
+    assert (faults > 0) == (name not in ("P1", "V7", "crowd-shaped"))

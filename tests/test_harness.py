@@ -1,6 +1,5 @@
 """Presets, policy assignment parsing, run artifacts, sweeps, reports, CLI."""
 
-import _thread
 import copy
 import csv
 import dataclasses
@@ -8,7 +7,7 @@ import hashlib
 import json
 import os
 import random
-import threading
+import signal
 import time
 import warnings
 import weakref
@@ -403,16 +402,21 @@ def test_interrupting_a_sweep_starts_no_queued_game(monkeypatch, tmp_path, paral
                                                     most_started):
     # Ctrl-C comes while the first games sleep; this thread sees it once a
     # game ends, by when at most two more games can have started in the
-    # freed workers, and none can start until those end
+    # freed workers, and none can start until those end. A SIGALRM stands in
+    # for it, so the sweep forks beside no other thread.
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
     monkeypatch.setattr(harness, "run_experiment", _marked_slow_run)
-    timer = threading.Timer(0.1, _thread.interrupt_main)
-    timer.start()
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.1)
     try:
         with pytest.raises(KeyboardInterrupt):
             sweep(small_config(max_turns=1), "upkeep", [0, 1, 2, 3, 4],
                   policies="scripted:rest", out_dir=tmp_path, parallel=parallel)
     finally:
-        timer.cancel()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     started = [path.name for path in tmp_path.glob("started-*")]
     assert "started-0" in started and len(started) <= most_started
 
