@@ -6,12 +6,14 @@ One turn runs in a fixed order:
 1. upkeep: every living agent loses ``config.upkeep`` food (floor 0);
    agents at 0 food die now.
 2. observations: every surviving agent gets an Observation built from the
-   same post-upkeep snapshot. ``step`` indexes that snapshot once (living
-   agents by cell), so one observation reads only the cells within the
-   observer's vision range. Observations share what does not depend on the
-   observer: within the turn, observers on one cell share what the cell
-   sees; for the whole game, which nodes each cell sees and the all-hidden
-   node views are worked out once, because nodes never move.
+   same post-upkeep snapshot. Per turn, ``step`` indexes that snapshot once
+   (``sight_index``): one immutable row per living agent, by cell, so one
+   observation reads only the rows within the observer's vision range and
+   no live agent. Observers on one cell share what the cell sees that turn.
+   Per game (``GameSight``), what never changes is worked out once: which
+   nodes each cell sees, the all-hidden node views, and, on a cell's first
+   observer, the cells in its vision range and its node order (nodes by
+   Manhattan distance, which ``Observation.node_order`` carries).
 3. decisions: policies are consulted in batch; a policy failure substitutes
    REST and logs a policy_fault record.
 4. resolution: queued actions resolve one at a time in a seeded-random
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import gc
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -58,6 +61,7 @@ from .actions import (
 from .core import (
     ATTRIBUTE_MAX,
     AgentState,
+    GameConfig,
     GameState,
     VARIANT_SEXUAL_SELECTION,
     VISION_RANGE,
@@ -101,9 +105,18 @@ class ObservedNode(NamedTuple):
 
 
 class Observation(NamedTuple):
+    """One agent's view of one turn. ``agent`` is the observer's own copy
+    and every other field holds immutable values only, none of them a live
+    agent or a per-game table, so a policy may keep an observation after its
+    turn resolves. ``node_order`` lists the indices into ``nodes`` by
+    (Manhattan distance from the observer, pos), nearest first, so a
+    scripted policy finds the nearest usable node without scanning them
+    all; prompts do not show it."""
+
     agent: AgentState
     nearby: tuple[NearbyAgent, ...]
     nodes: tuple[ObservedNode, ...]
+    node_order: tuple[int, ...]
     recent_actions: tuple[str, ...]
     messages: tuple[tuple[int, str], ...]
     turn: int
@@ -124,16 +137,24 @@ Cell = tuple[int, int]
 
 
 class GameSight(NamedTuple):
-    """What the cells of one game see of the nodes. Nodes never move, so it
-    holds for the whole game; ``_game_sight`` makes it on the game's first
-    observation."""
+    """What the cells of one game see. Nodes never move and the grid never
+    changes, so it holds for the whole game; ``_game_sight`` makes it on the
+    game's first observation. ``reach`` and ``node_order`` get a cell's
+    entry, keyed by its grid number (x + y * width, the index
+    ``GameConfig.cell_at`` takes), when an observer first stands on the
+    cell. Each entry is an ``array`` of ints, which holds no objects to free
+    when the game's state goes, and an observation gets a tuple copy of a
+    node order, never the array."""
 
     cells: dict[Cell, tuple[int, ...]]  # cell -> indices of the nodes in sight, ascending
     hidden: tuple[ObservedNode, ...]  # every node's terrain, stock unseen
+    by_pos: array  # node indices by pos
+    reach: dict[int, array]  # grid numbers of the in-bounds cells in sight
+    node_order: dict[int, array]  # node indices by (Manhattan distance, pos)
 
 
 def _game_sight(state: GameState) -> GameSight:
-    """``state``'s per-game sight, made on first use in O(nodes)."""
+    """``state``'s per-game sight, made on first use in O(nodes log nodes)."""
     sight = state.sight
     if sight is None:
         in_sight: dict[Cell, list[int]] = {}
@@ -147,50 +168,100 @@ def _game_sight(state: GameState) -> GameSight:
                         in_sight.setdefault(cell, []).append(rank)
         sight = state.sight = GameSight(
             cells={cell: tuple(ranks) for cell, ranks in in_sight.items()},
-            hidden=tuple(ObservedNode(node.pos, node.kind, None) for node in state.nodes))
+            hidden=tuple(ObservedNode(node.pos, node.kind, None) for node in state.nodes),
+            by_pos=array("I", sorted(range(len(state.nodes)), key=lambda r: state.nodes[r].pos)),
+            reach={}, node_order={})
     return sight
+
+
+def _reach(config: GameConfig, pos: Cell) -> array:
+    """The grid numbers of the in-bounds cells within ``VISION_RANGE`` of ``pos``."""
+    x, y = pos
+    width = config.grid_width
+    return array("I", [cx + cy * width
+                       for cx in range(max(0, x - VISION_RANGE),
+                                       min(width, x + VISION_RANGE + 1))
+                       for cy in range(max(0, y - VISION_RANGE),
+                                       min(config.grid_height, y + VISION_RANGE + 1))])
+
+
+def _node_order(sight: GameSight, pos: Cell) -> array:
+    """Node indices by (Manhattan distance from ``pos``, pos): a stable sort
+    of ``sight.by_pos`` by distance."""
+    x, y = pos
+    distance = [abs(nx - x) + abs(ny - y) for (nx, ny), _, _ in sight.hidden]
+    return array("I", sorted(sight.by_pos, key=distance.__getitem__))
+
+
+# A living agent as every observer of one turn sees it before quantizing:
+# (id, pos, food, tokens, role, vitality, attrs). Role and vitality are None
+# outside sexual_selection, attrs None unless revealed this turn.
+Row = tuple[int, Cell, int, int, str | None, int | None, Any]
 
 
 @dataclass(frozen=True)
 class SightIndex:
     """What every observation of one turn shares, read from one state.
 
-    ``alive`` and ``cells`` index the living agents. ``seen`` fills on
-    demand and never changes once filled: what an observer on a cell sees
-    (the roster positions in sight, sorted, and the node views)."""
+    ``rows`` holds one immutable row per living agent, so an observation
+    made from it never reads the live agents; ``cells`` indexes the rows by
+    grid number. ``seen`` fills on demand and never changes once filled: what
+    an observer on a cell sees (the rows in sight, in roster order, the node
+    views and the node order)."""
 
-    alive: list[AgentState]  # roster order
-    cells: dict[Cell, list[int]]  # cell -> positions in ``alive``
+    rows: list[Row]  # roster order
+    cells: dict[int, list[int]]  # grid number -> positions in ``rows``
     sight: GameSight
-    seen: dict[Cell, tuple[list[int], tuple[ObservedNode, ...]]]
+    seen: dict[Cell, tuple[list[Row], tuple[ObservedNode, ...], tuple[int, ...]]]
 
 
 def sight_index(state: GameState) -> SightIndex:
     """Index ``state`` for ``observe``: O(agents + nodes)."""
-    alive = state.alive_agents()
-    cells: dict[Cell, list[int]] = {}
-    for rank, agent in enumerate(alive):
-        cells.setdefault(agent.pos, []).append(rank)
-    return SightIndex(alive=alive, cells=cells, sight=_game_sight(state), seen={})
+    sexual = state.config.engine_variant == VARIANT_SEXUAL_SELECTION
+    width = state.config.grid_width
+    turn = state.turn
+    rows: list[Row] = []
+    cells: dict[int, list[int]] = {}
+    for agent in state.alive_agents():
+        x, y = pos = agent.pos
+        cells.setdefault(x + y * width, []).append(len(rows))
+        rows.append((agent.id, pos, agent.food, agent.tokens,
+                     agent.role if sexual else None,
+                     agent.vitality if sexual else None,
+                     agent.attrs if agent.revealed(turn) else None))
+    return SightIndex(rows=rows, cells=cells, sight=_game_sight(state), seen={})
 
 
 def _seen_from(state: GameState, index: SightIndex, pos: Cell
-               ) -> tuple[list[int], tuple[ObservedNode, ...]]:
+               ) -> tuple[list[Row], tuple[ObservedNode, ...], tuple[int, ...]]:
     """What an observer on ``pos`` sees this turn, for ``index.seen``."""
+    sight = index.sight
+    number = pos[0] + pos[1] * state.config.grid_width
+    reach = sight.reach.get(number)
+    if reach is None:
+        reach = sight.reach[number] = _reach(state.config, pos)
+    order = sight.node_order.get(number)
+    if order is None:
+        order = sight.node_order[number] = _node_order(sight, pos)
+
     ranks: list[int] = []
-    x, y = pos
-    for cx in range(x - VISION_RANGE, x + VISION_RANGE + 1):
-        for cy in range(y - VISION_RANGE, y + VISION_RANGE + 1):
-            ranks += index.cells.get((cx, cy), ())
+    get = index.cells.get
+    for near in reach:
+        found = get(near)
+        if found is not None:
+            ranks += found
     ranks.sort()
-    in_sight = index.sight.cells.get(pos)
+    rows = index.rows
+    seen_rows = [rows[rank] for rank in ranks]
+
+    in_sight = sight.cells.get(pos)
     if in_sight is None:
-        return ranks, index.sight.hidden
-    nodes = list(index.sight.hidden)
+        return seen_rows, sight.hidden, tuple(order)
+    nodes = list(sight.hidden)
     for rank in in_sight:
         node_pos, kind, _ = nodes[rank]
         nodes[rank] = _make(ObservedNode, (node_pos, kind, state.nodes[rank].stock))
-    return ranks, tuple(nodes)
+    return seen_rows, tuple(nodes), tuple(order)
 
 
 def observe(state: GameState, agent_id: int, index: SightIndex | None = None) -> Observation:
@@ -199,49 +270,43 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
     Other agents are visible within Chebyshev distance 2; their resources
     are quantized to buckets of width max(1, 8 - SOC_observer) and their
     attributes are hidden unless currently revealed. ``nearby`` keeps roster
-    order and ``nodes`` keeps ``state.nodes`` order.
+    order, ``nodes`` keeps ``state.nodes`` order and ``node_order`` lists
+    the node indices nearest first (see ``Observation``).
 
     ``index`` must be ``sight_index`` of this same state, unchanged since;
-    ``step`` builds it once per turn, so an observation costs O(agents in
-    vision range), plus O(cells in vision range + nodes) for the first
-    observer on its cell. Without it the call indexes the state itself, which
-    is O(agents + nodes). Observers of one index on the same cell share one
-    ``nodes`` tuple, and the all-hidden node views last the game.
+    ``step`` builds it once per turn, with one row per living agent, so an
+    observation costs O(agents in vision range), plus O(cells in vision
+    range + nodes) for the first observer on its cell this turn. Without it
+    the call indexes the state itself, which is O(agents + nodes).
+    Observers of one index on the same cell share one ``nodes`` and one
+    ``node_order`` tuple. Per game, ``GameSight`` keeps which cells and nodes
+    each cell sees and its node order, and the all-hidden node views.
     """
     if index is None:
         index = sight_index(state)
     agent = state.agents[agent_id]
-    sexual = state.config.engine_variant == VARIANT_SEXUAL_SELECTION
     width = max(1, 8 - agent.attrs.SOC)
-    turn = state.turn
 
     seen = index.seen.get(agent.pos)
     if seen is None:
         seen = index.seen[agent.pos] = _seen_from(state, index, agent.pos)
-    ranks, nodes = seen
+    rows, nodes, node_order = seen
 
     nearby = []
-    for rank in ranks:
-        other = index.alive[rank]
-        if other.id == agent_id:
-            continue
-        nearby.append(_make(NearbyAgent, (
-            other.id,
-            other.pos,
-            quantize(other.food, width),
-            quantize(other.tokens, width),
-            other.role if sexual else None,
-            other.vitality if sexual else None,
-            other.attrs if other.revealed(turn) else None,
-        )))
+    for other_id, pos, food, tokens, role, vitality, attrs in rows:
+        if other_id != agent_id:
+            nearby.append(_make(NearbyAgent, (
+                other_id, pos, quantize(food, width), quantize(tokens, width),
+                role, vitality, attrs)))
 
     return _make(Observation, (
         agent.snapshot(),
         tuple(nearby),
         nodes,
+        node_order,
         tuple(state.recent_actions.get(agent_id, ())),
         tuple(state.inbox.get(agent_id, ())),
-        turn,
+        state.turn,
         state.config.engine_variant,
     ))
 

@@ -164,9 +164,19 @@ def end_event(state: GameState, reason: str) -> dict[str, Any]:
 # Records are trees, so the circular-reference check only costs time.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, check_circular=False)
 
+# ``_ENCODER.encode`` still builds a C encoder per record; this one, made once
+# with its settings (as ``JSONEncoder.iterencode`` makes it), writes the same
+# text. It is None without the ``_json`` module, where ``encode`` is pure Python.
+_C_ENCODER = None if json.encoder.c_make_encoder is None else json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
+
 
 def _dumps(event: dict[str, Any]) -> str:
-    return _ENCODER.encode(event)
+    if _C_ENCODER is None:
+        return _ENCODER.encode(event)
+    return "".join(_C_ENCODER(event, 0))
 
 
 @dataclass

@@ -10,7 +10,6 @@ back to REST when the reply has no parseable action line.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -248,7 +247,11 @@ class PolicyMap:
         groups: dict[int, tuple[Policy, list[int]]] = {}
         for aid in sorted(observations):
             policy = self.policy_for(observations[aid].agent)
-            groups.setdefault(id(policy), (policy, []))[1].append(aid)
+            group = groups.get(id(policy))
+            if group is None:
+                groups[id(policy)] = (policy, [aid])
+            else:
+                group[1].append(aid)
 
         results: dict[int, PolicyDecision | BaseException] = {}
         for policy, ids in groups.values():
@@ -316,25 +319,15 @@ class ScriptedPolicy(Policy):
 
     def _gather_action(self, obs: Observation, kind: str | None = None) -> Action | None:
         """GATHER on a usable node underfoot, else MOVE toward the nearest
-        candidate node (unknown stock counts as a candidate), else None."""
-        me = obs.agent
-        x, y = me.pos
-        # one walk for the nearest candidate by (Manhattan distance, pos); a
-        # node underfoot is at distance 0, as nodes stand on distinct cells
-        best_dist, best = math.inf, None
-        for node in obs.nodes:
-            pos = node.pos
-            dist = abs(pos[0] - x) + abs(pos[1] - y)
-            if dist > best_dist:
-                continue
-            stock = node.stock
-            if (stock is not None and stock <= 0) or (kind is not None and node.kind != kind):
-                continue
-            if dist < best_dist or pos < best:
-                if dist == 0:
-                    return GATHER
-                best_dist, best = dist, pos
-        return None if best is None else self._move_toward(me, best)
+        candidate node by (Manhattan distance, pos), else None. Unknown stock
+        counts as a candidate. ``obs.node_order`` is that order, so the walk
+        stops at the first usable node."""
+        nodes = obs.nodes
+        for rank in obs.node_order:
+            pos, node_kind, stock = nodes[rank]
+            if (stock is None or stock > 0) and (kind is None or node_kind == kind):
+                return GATHER if pos == obs.agent.pos else self._move_toward(obs.agent, pos)
+        return None
 
 
 class RestOnly(ScriptedPolicy):
@@ -476,7 +469,10 @@ class LLMPolicy(Policy):
     def decide(self, obs: Observation) -> PolicyDecision:
         result = self.decide_batch([obs])[0]
         if isinstance(result, BaseException):
-            raise result
+            try:
+                raise result
+            finally:
+                result = None  # its traceback holds this frame: keep no cycle
         return result
 
     def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision | BaseException]:

@@ -1,9 +1,14 @@
 """Turn mechanics: upkeep, observation, each action resolver, turn order,
 termination, and fault isolation."""
 
+import copy
 import gc
+import os
 import socket
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -29,6 +34,7 @@ from gridarena.core import (
     Attributes,
     GameConfig,
     chebyshev,
+    manhattan,
     new_game,
 )
 from gridarena.engine import (
@@ -46,7 +52,7 @@ from gridarena.engine import (
     sweep_deaths,
     trade_accept_probability,
 )
-from gridarena.gamelog import Delta
+from gridarena.gamelog import Delta, GameLog, end_event, header_event
 from gridarena.gateway import GatewayConfig
 from gridarena.harness import PRESETS, build_policy_map
 from gridarena.policy import Policy, PolicyDecision, PolicyMap, make_scripted
@@ -182,9 +188,12 @@ def scan_observe(state, agent_id):
                      stock=node.stock if chebyshev(agent.pos, node.pos) <= VISION_RANGE
                      else None)
         for node in state.nodes)
+    node_order = tuple(sorted(range(len(nodes)),
+                              key=lambda rank: (manhattan(agent.pos, nodes[rank].pos),
+                                                nodes[rank].pos)))
     return Observation(
         agent=replace(agent, train_progress=dict(agent.train_progress)),
-        nearby=nearby, nodes=nodes,
+        nearby=nearby, nodes=nodes, node_order=node_order,
         recent_actions=tuple(state.recent_actions.get(agent_id, ())),
         messages=tuple(state.inbox.get(agent_id, ())),
         turn=state.turn, variant=state.config.engine_variant)
@@ -275,8 +284,8 @@ def test_step_builds_one_sight_index_per_turn(monkeypatch):
     NearbyAgent(id=1, pos=(0, 0), approx_food=4, approx_tokens=2, role=None,
                 vitality=None, attrs=None),
     ObservedNode(pos=(1, 1), kind="food", stock=None),
-    Observation(agent=make_agent(0, (0, 0)), nearby=(), nodes=(), recent_actions=(),
-                messages=(), turn=0, variant=VARIANTS[0]),
+    Observation(agent=make_agent(0, (0, 0)), nearby=(), nodes=(), node_order=(),
+                recent_actions=(), messages=(), turn=0, variant=VARIANTS[0]),
 ])
 def test_observation_types_are_immutable(value):
     for name in type(value)._fields:
@@ -331,6 +340,81 @@ def test_step_observations_equal_unindexed_observe_in_a_game_with_births():
     log = run_game(state, check)
     assert sum(len(e["births"]) for e in log if e["type"] == "turn_end") > 0
     assert any(agent_id >= config.n_agents for agent_id in check.observers)  # offspring
+
+
+class ObservationKeeper:
+    """Wraps a policy map and keeps each turn's observations, with a copy of
+    the state they were made from, taken before the turn resolves."""
+
+    def __init__(self, policies, state):
+        self.policies, self.state, self.kept = policies, state, None
+
+    def decide_all(self, observations):
+        self.kept = (dict(observations), copy.deepcopy(self.state))
+        return self.policies.decide_all(observations)
+
+    def evaluate_proposal(self, chooser, view):
+        return self.policies.evaluate_proposal(chooser, view)
+
+
+@pytest.mark.parametrize("game", ["crowd-shaped", "V7"])
+def test_kept_observations_outlive_their_turn(game):
+    # an observation holds values, not views of the live agents or nodes, so
+    # resolving the turn does not change what a policy kept
+    config, policies = (crowd_shaped_game() if game == "crowd-shaped"
+                        else preset_game("V7", seed=3))
+    state = new_game(config)
+    keeper = ObservationKeeper(policies, state)
+    moved = 0
+    for _ in range(12):
+        step(state, keeper)
+        observations, before = keeper.kept
+        for agent_id, obs in observations.items():
+            assert obs == observe(before, agent_id)
+            if agent_id in state.agents and state.agents[agent_id].alive:
+                now = observe(state, agent_id)
+                moved += (obs.nearby, obs.nodes) != (now.nearby, now.nodes)
+    assert moved > 0  # the live state did change under the kept observations
+
+
+def play_alone(config, assignment):
+    """The log hash of ``config``'s game played in a fresh interpreter."""
+    script = "\n".join([
+        "from gridarena.core import GameConfig, new_game",
+        "from gridarena.engine import run_game",
+        "from gridarena.harness import build_policy_map",
+        f"config = GameConfig.from_flat_text({config.to_flat_text()!r})",
+        f"policies = build_policy_map({assignment!r}, config)",
+        "print(run_game(new_game(config), policies).sha256())",
+    ])
+    src = Path(engine.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_alternating_games_give_the_logs_they_give_alone():
+    # two games with different grids and node layouts, one turn each in
+    # turn, in one process, give the logs each gives in a process of its
+    # own: no per-game or per-turn table leaks between them
+    config, _ = crowd_shaped_game()
+    configs = [config, replace(config, seed=12, grid_width=10, grid_height=10)]
+    games = []
+    for game_config in configs:
+        state = new_game(game_config)
+        games.append((state, build_policy_map(CROWD_SHAPED_POLICIES, game_config),
+                      GameLog([header_event(state)])))
+    assert games[0][0].nodes != games[1][0].nodes
+    while any(check_termination(state) is None for state, _, _ in games):
+        for state, policies, log in games:
+            if check_termination(state) is None:
+                log.extend(step(state, policies))
+    shas = []
+    for state, _, log in games:
+        log.append(end_event(state, check_termination(state)))
+        shas.append(log.sha256())
+    assert shas == [play_alone(game_config, CROWD_SHAPED_POLICIES) for game_config in configs]
 
 
 def test_births_are_the_turns_spawned_offspring():
@@ -676,11 +760,13 @@ def preset_game(name, **overrides):
     return config, build_policy_map(PRESETS[name].policy_assignment, config)
 
 
+CROWD_SHAPED_POLICIES = "mixed:0-5=aggressor,6-11=trader,12-17=walker,*=greedy"
+
+
 def crowd_shaped_game():
     config = GameConfig(grid_width=12, grid_height=12, n_food_nodes=10, n_token_nodes=5,
                         n_agents=24, upkeep=1, max_turns=30, seed=11)
-    return config, build_policy_map("mixed:0-5=aggressor,6-11=trader,12-17=walker,*=greedy",
-                                    config)
+    return config, build_policy_map(CROWD_SHAPED_POLICIES, config)
 
 
 def llm_refused_game(port):

@@ -1,6 +1,8 @@
 """Prompt rendering, reply parsing, scripted baselines, and batch plumbing."""
 
+import gc
 import re
+import socket
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +27,7 @@ from gridarena.core import (
     manhattan,
 )
 from gridarena.engine import NearbyAgent, ObservedNode, Observation
-from gridarena.gateway import GatewayError
+from gridarena.gateway import GatewayConfig, GatewayError
 from gridarena.mating import ProposalView
 from gridarena.policy import (
     LLMPolicy,
@@ -42,6 +44,7 @@ from gridarena.policy import (
 )
 
 from conftest import (
+    KEY_ENV,
     flat_attrs,
     gateway_config,
     make_agent,
@@ -53,7 +56,13 @@ BANNED_WORDS = ("cooperate", "should", "tip", "hint", "recommend")
 
 def observation(agent, *, nearby=(), nodes=(), recent=(), messages=(),
                 turn=5, variant=VARIANT_SURVIVAL):
-    return Observation(agent=agent, nearby=tuple(nearby), nodes=tuple(nodes),
+    """An observation with ``node_order`` derived as ``engine.observe`` gives
+    it: node indices by (Manhattan distance from the agent, pos)."""
+    nodes = tuple(nodes)
+    node_order = tuple(sorted(range(len(nodes)),
+                              key=lambda rank: (manhattan(agent.pos, nodes[rank].pos),
+                                                nodes[rank].pos)))
+    return Observation(agent=agent, nearby=tuple(nearby), nodes=nodes, node_order=node_order,
                        recent_actions=tuple(recent), messages=tuple(messages),
                        turn=turn, variant=variant)
 
@@ -491,3 +500,20 @@ def test_llm_chooser_gateway_fault_raises_and_the_map_rejects(stub_gateway):
     assert policy_map.evaluate_proposal(chooser, view) is False
     assert policy_map.evaluate_proposal(chooser, view) is True  # the gateway is back
     assert stub_gateway.request_count == 3
+
+
+def test_llm_decide_against_a_refused_endpoint_leaves_no_cycle(monkeypatch):
+    monkeypatch.setenv(KEY_ENV, "stub-key")
+    with socket.socket() as sock:  # bound, never listening: connections are refused
+        sock.bind(("127.0.0.1", 0))
+        config = GatewayConfig(endpoint_url=f"http://127.0.0.1:{sock.getsockname()[1]}/v1",
+                               model_name="m", api_key_env_var=KEY_ENV, max_retries=0)
+        policy = LLMPolicy(config)
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(GatewayError):
+                policy.decide(observation(make_agent(0, (0, 0))))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
