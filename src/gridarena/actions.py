@@ -8,7 +8,7 @@ The canonical forms are::
     TRADE <agent_id> <food>f<tokens>t <food>f<tokens>t
     REST
     TRAIN <STR|SPD|INT|SOC|END|CHA>
-    COMMUNICATE <free text>
+    COMMUNICATE <free text, one line>
     REPRODUCE <agent_id>
 
 Parsing is lenient about case and surrounding prose: the input is scanned
@@ -104,7 +104,8 @@ class Communicate:
     message: str
 
     def __post_init__(self):
-        if "\n" in self.message or "\r" in self.message:
+        # one line by ``str.splitlines``' rule, which ``parse_action`` reads by
+        if self.message and self.message.splitlines() != [self.message]:
             raise ValueError("message must be a single line")
         object.__setattr__(self, "message", self.message.strip())
         if not self.message:

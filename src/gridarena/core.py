@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -78,6 +78,18 @@ def vitality_band(vitality: int) -> str:
 
 # --------------------------------------------------------------------------
 # Configuration
+
+
+def read_text(path, error: Callable[[str], Exception]) -> str:
+    """``path``'s text, read as UTF-8 with universal newlines. A byte that is
+    not UTF-8 raises ``error(problem)``, the problem naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # one read() decodes the whole file, so ``exc.object`` is its bytes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"line {line}: not UTF-8 text ({exc.reason})") from exc
 
 
 def read_pairs(entries: Iterable[tuple[str, str]]) -> dict[str, str]:
@@ -220,8 +232,7 @@ class GameConfig:
 
     @classmethod
     def read(cls, path) -> "GameConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_flat_text(fh.read())
+        return cls.from_flat_text(read_text(path, lambda problem: ConfigError([problem])))
 
 
 GameConfig.FIELDS = tuple(f.name for f in fields(GameConfig))
@@ -355,7 +366,8 @@ class GameState:
     inbox: dict[int, list[tuple[int, str]]] = field(default_factory=dict)
     # node position -> index into ``nodes``; nodes never move or appear
     node_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
-    # which nodes each cell sees (``engine.GameSight``), made on the first observation
+    # what the game's cells see (``engine.GameSight``): made on the first
+    # observation, given a cell's entry when an observer first stands on it
     sight: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -10,10 +10,11 @@ One turn runs in a fixed order:
    (``sight_index``): one immutable row per living agent, by cell, so one
    observation reads only the rows within the observer's vision range and
    no live agent. Observers on one cell share what the cell sees that turn.
-   Per game (``GameSight``), what never changes is worked out once: which
-   nodes each cell sees, the all-hidden node views, and, on a cell's first
-   observer, the cells in its vision range and its node order (nodes by
-   Manhattan distance, which ``Observation.node_order`` carries).
+   Per game (``GameSight``), what never changes is worked out once: the
+   all-hidden node views up front, and, when an observer first stands on a
+   cell, one entry for that cell: the cells in its vision range, the nodes
+   on them, and its node order (nodes by Manhattan distance, which
+   ``Observation.node_order`` carries).
 3. decisions: policies are consulted in batch; a policy failure substitutes
    REST and logs a policy_fault record.
 4. resolution: queued actions resolve one at a time in a seeded-random
@@ -61,7 +62,6 @@ from .actions import (
 from .core import (
     ATTRIBUTE_MAX,
     AgentState,
-    GameConfig,
     GameState,
     VARIANT_SEXUAL_SELECTION,
     VISION_RANGE,
@@ -138,59 +138,47 @@ Cell = tuple[int, int]
 
 class GameSight(NamedTuple):
     """What the cells of one game see. Nodes never move and the grid never
-    changes, so it holds for the whole game; ``_game_sight`` makes it on the
-    game's first observation. ``reach`` and ``node_order`` get a cell's
-    entry, keyed by its grid number (x + y * width, the index
-    ``GameConfig.cell_at`` takes), when an observer first stands on the
-    cell. Each entry is an ``array`` of ints, which holds no objects to free
-    when the game's state goes, and an observation gets a tuple copy of a
-    node order, never the array."""
+    changes, so it holds for the whole game; ``_game_sight`` makes it, with
+    ``hidden`` and ``by_pos``, on the game's first observation. ``cells``
+    gets a cell's entry (``_cell_sight``), keyed by its grid number
+    (x + y * width, the index ``GameConfig.cell_at`` takes), when an
+    observer first stands on the cell. An entry's tables are ``array``s of
+    ints, which hold no objects to free when the game's state goes, and an
+    observation gets a tuple copy of a node order, never the array."""
 
-    cells: dict[Cell, tuple[int, ...]]  # cell -> indices of the nodes in sight, ascending
     hidden: tuple[ObservedNode, ...]  # every node's terrain, stock unseen
     by_pos: array  # node indices by pos
-    reach: dict[int, array]  # grid numbers of the in-bounds cells in sight
-    node_order: dict[int, array]  # node indices by (Manhattan distance, pos)
+    cells: dict[int, tuple[array, array, array]]  # grid number -> _cell_sight
 
 
 def _game_sight(state: GameState) -> GameSight:
     """``state``'s per-game sight, made on first use in O(nodes log nodes)."""
     sight = state.sight
     if sight is None:
-        in_sight: dict[Cell, list[int]] = {}
-        reach = range(-VISION_RANGE, VISION_RANGE + 1)
-        for rank, node in enumerate(state.nodes):
-            x, y = node.pos
-            for dx in reach:
-                for dy in reach:
-                    cell = (x + dx, y + dy)
-                    if state.config.in_bounds(cell):
-                        in_sight.setdefault(cell, []).append(rank)
         sight = state.sight = GameSight(
-            cells={cell: tuple(ranks) for cell, ranks in in_sight.items()},
             hidden=tuple(ObservedNode(node.pos, node.kind, None) for node in state.nodes),
             by_pos=array("I", sorted(range(len(state.nodes)), key=lambda r: state.nodes[r].pos)),
-            reach={}, node_order={})
+            cells={})
     return sight
 
 
-def _reach(config: GameConfig, pos: Cell) -> array:
-    """The grid numbers of the in-bounds cells within ``VISION_RANGE`` of ``pos``."""
+def _cell_sight(state: GameState, sight: GameSight, pos: Cell) -> tuple[array, array, array]:
+    """What an observer on ``pos`` sees all game: the grid numbers of the
+    in-bounds cells within ``VISION_RANGE`` (its reach), the indices of the
+    nodes on those cells, and the node indices by (Manhattan distance from
+    ``pos``, pos), a stable sort of ``sight.by_pos`` by distance."""
     x, y = pos
+    config = state.config
     width = config.grid_width
-    return array("I", [cx + cy * width
-                       for cx in range(max(0, x - VISION_RANGE),
-                                       min(width, x + VISION_RANGE + 1))
-                       for cy in range(max(0, y - VISION_RANGE),
-                                       min(config.grid_height, y + VISION_RANGE + 1))])
-
-
-def _node_order(sight: GameSight, pos: Cell) -> array:
-    """Node indices by (Manhattan distance from ``pos``, pos): a stable sort
-    of ``sight.by_pos`` by distance."""
-    x, y = pos
+    cells = [(cx, cy)
+             for cx in range(max(0, x - VISION_RANGE), min(width, x + VISION_RANGE + 1))
+             for cy in range(max(0, y - VISION_RANGE),
+                             min(config.grid_height, y + VISION_RANGE + 1))]
+    node_index = state.node_index
     distance = [abs(nx - x) + abs(ny - y) for (nx, ny), _, _ in sight.hidden]
-    return array("I", sorted(sight.by_pos, key=distance.__getitem__))
+    return (array("I", [cx + cy * width for cx, cy in cells]),
+            array("I", [node_index[cell] for cell in cells if cell in node_index]),
+            array("I", sorted(sight.by_pos, key=distance.__getitem__)))
 
 
 # A living agent as every observer of one turn sees it before quantizing:
@@ -237,12 +225,10 @@ def _seen_from(state: GameState, index: SightIndex, pos: Cell
     """What an observer on ``pos`` sees this turn, for ``index.seen``."""
     sight = index.sight
     number = pos[0] + pos[1] * state.config.grid_width
-    reach = sight.reach.get(number)
-    if reach is None:
-        reach = sight.reach[number] = _reach(state.config, pos)
-    order = sight.node_order.get(number)
-    if order is None:
-        order = sight.node_order[number] = _node_order(sight, pos)
+    entry = sight.cells.get(number)
+    if entry is None:
+        entry = sight.cells[number] = _cell_sight(state, sight, pos)
+    reach, in_sight, order = entry
 
     ranks: list[int] = []
     get = index.cells.get
@@ -254,8 +240,7 @@ def _seen_from(state: GameState, index: SightIndex, pos: Cell
     rows = index.rows
     seen_rows = [rows[rank] for rank in ranks]
 
-    in_sight = sight.cells.get(pos)
-    if in_sight is None:
+    if not in_sight:
         return seen_rows, sight.hidden, tuple(order)
     nodes = list(sight.hidden)
     for rank in in_sight:
@@ -279,8 +264,9 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
     range + nodes) for the first observer on its cell this turn. Without it
     the call indexes the state itself, which is O(agents + nodes).
     Observers of one index on the same cell share one ``nodes`` and one
-    ``node_order`` tuple. Per game, ``GameSight`` keeps which cells and nodes
-    each cell sees and its node order, and the all-hidden node views.
+    ``node_order`` tuple. Per game, ``GameSight`` keeps the all-hidden node
+    views and, for each cell an observer has stood on, one entry: the cells
+    and the nodes in its vision range and its node order.
     """
     if index is None:
         index = sight_index(state)

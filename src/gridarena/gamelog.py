@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from .actions import REST, parse_action
-from .core import AgentState, ConfigError, GameConfig, GameState, ResourceNode, new_game
+from .core import AgentState, ConfigError, GameConfig, GameState, ResourceNode, new_game, read_text
 
 LOG_VERSION = 1
 
@@ -260,14 +260,15 @@ class GameLog:
                 event, number = _decode(line)
             except json.JSONDecodeError as exc:
                 raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(event, dict) or event.get("type") not in RECORD_KEYS:
+            etype = event.get("type") if isinstance(event, dict) else None
+            if not isinstance(etype, str) or etype not in RECORD_KEYS:
                 raise LogError(f"line {lineno}: not a known event record")
-            required = RECORD_KEYS[event["type"]]
+            required = RECORD_KEYS[etype]
             if not required <= event.keys():
                 missing = ", ".join(sorted(required - event.keys()))
-                raise LogError(f"line {lineno}: {event['type']} record lacks {missing}")
+                raise LogError(f"line {lineno}: {etype} record lacks {missing}")
             if number is not None:
-                raise LogError(f"line {lineno} ({event['type']}): {_float_path(event)} "
+                raise LogError(f"line {lineno} ({etype}): {_float_path(event)} "
                                f"must be an integer, got {number}")
             log.events.append(event)
             log._lines.append(line)
@@ -275,8 +276,7 @@ class GameLog:
 
     @classmethod
     def read(cls, path) -> "GameLog":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_text(path, LogError))
 
 
 # --------------------------------------------------------------------------

@@ -111,6 +111,9 @@ def test_parse_rejects_junk(text):
                   request_food=0, request_tokens=0),
     lambda: Trade(target_id=1, offer_food=-1, offer_tokens=1,
                   request_food=1, request_tokens=0),
+    lambda: Communicate(message="a\n"),
+    *[lambda char=char: Communicate(message=f"hello{char}world")
+      for char in ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]],
 ])
 def test_invalid_construction_rejected(build):
     with pytest.raises(ValueError):
@@ -149,4 +152,15 @@ action_strategy = st.one_of(
 @given(action_strategy)
 @example(Communicate("hi "))
 def test_round_trip_property(action):
+    assert parse_action(render(action)) == action
+
+
+@given(st.text(min_size=1, max_size=40))
+@example("hello\u2028world")
+def test_every_constructible_message_round_trips(message):
+    # a message the constructor accepts is one line as parse_action reads lines
+    try:
+        action = Communicate(message)
+    except ValueError:
+        return
     assert parse_action(render(action)) == action

@@ -315,6 +315,29 @@ def test_new_game_leaves_the_sight_map_to_the_first_observation():
     assert state.sight is sight  # one per game
 
 
+def test_each_cell_an_observer_stood_on_gets_one_sight_entry(monkeypatch):
+    built, stood = [], set()
+    cell_sight, observe_one = engine._cell_sight, engine.observe
+    monkeypatch.setattr(engine, "_cell_sight",
+                        lambda state, sight, pos: built.append(pos) or cell_sight(state, sight, pos))
+    monkeypatch.setattr(engine, "observe", lambda state, agent_id, index=None: (
+        stood.add(state.agents[agent_id].pos) or observe_one(state, agent_id, index)))
+    config, policies = crowd_shaped_game()
+    state = new_game(config)
+    run_game(state, policies)
+    assert built and len(built) == len(set(built))  # one entry per cell per game
+    assert set(built) == stood
+    width = config.grid_width
+    assert set(state.sight.cells) == {x + y * width for x, y in stood}
+    for x, y in stood:
+        reach, in_sight, _ = state.sight.cells[x + y * width]
+        assert sorted(reach) == sorted(cx + cy * width for cx in range(width)
+                                       for cy in range(config.grid_height)
+                                       if chebyshev((x, y), (cx, cy)) <= VISION_RANGE)
+        assert sorted(in_sight) == [rank for rank, node in enumerate(state.nodes)
+                                    if chebyshev((x, y), node.pos) <= VISION_RANGE]
+
+
 class ObservationCheck:
     """Wraps a policy map and checks, before it decides, that each
     observation ``step`` built equals ``observe`` without an index."""

@@ -120,6 +120,30 @@ def test_from_text_rejects_a_float_before_a_syntax_error():
         GameLog.from_text('{"type": "regen", "turn": 1.5, oops}')
 
 
+@pytest.mark.parametrize("etype", [[], {}, ["header"], 1, None])
+def test_a_record_type_that_is_not_text_is_a_log_error(etype, tmp_path):
+    text = json.dumps({"type": etype}) + "\n"
+    with pytest.raises(LogError, match="line 1: not a known event record"):
+        GameLog.from_text(text)
+    path = tmp_path / "bad.log"
+    path.write_text(text)
+    assert main(["replay", str(path)]) == 4
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_a_log_that_is_not_utf8_is_a_log_error(line, tmp_path, capsys):
+    lines = [json.dumps(r).encode() + b"\n" for r in records_of(scripted_log())]
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path = tmp_path / "bad.log"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(LogError, match=f"line {line}: not UTF-8 text"):
+        GameLog.read(path)
+    assert main(["replay", str(path)]) == 4
+    assert f"line {line}: not UTF-8 text" in capsys.readouterr().err
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+
+
 def test_append_rejects_unknown_event_types():
     log = GameLog()
     with pytest.raises(LogError):

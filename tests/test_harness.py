@@ -775,6 +775,13 @@ def test_set_pairs_and_config_lines_share_one_reader(tmp_path, capsys, pair, pro
     assert capsys.readouterr().err == f"config error: line {line}: {problem}\n"
 
 
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"upkeep=2\nseed=\xff\n")
+    assert cli("validate-config", str(path)) == 2
+    assert capsys.readouterr().err.startswith("config error: line 2: not UTF-8 text")
+
+
 def test_cli_exit_code_three_for_runtime_faults(tmp_path):
     assert cli("replay", str(tmp_path / "missing.log")) == 3
 
