@@ -8,10 +8,12 @@ built from equal configs (same seed) are identical object for object.
 from __future__ import annotations
 
 import bisect
+import gc
 import math
 import random
-from collections.abc import Callable, Iterable, Mapping
-from contextlib import suppress
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Any, ClassVar
@@ -74,6 +76,24 @@ def vitality_band(vitality: int) -> str:
     if vitality <= 8:
         return "robust"
     return "radiant"
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector, process-wide, for the block,
+    and leave it on or off afterwards as it was found, on error too.
+
+    For work that builds trees of containers and no reference cycles (a
+    game's state and records, a log's decoded lines): a collection during it
+    frees nothing and only re-walks what was built, and reference counting
+    still frees what the work drops."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +374,12 @@ class ResourceNode:
 
 @dataclass
 class GameState:
-    """Whole-game mutable state. Mutated only inside ``engine.step``."""
+    """Whole-game mutable state. Mutated only inside ``engine.step``.
+
+    An agent's position and liveness change only through ``gamelog.Delta``
+    (``set_agent`` on ``pos`` or ``alive``, ``spawn``), which keeps
+    ``living`` in step with the roster; the count is taken from the agents
+    the state is built with."""
 
     config: GameConfig
     agents: dict[int, AgentState]
@@ -369,16 +394,19 @@ class GameState:
     # what the game's cells see (``engine.GameSight``): made on the first
     # observation, given a cell's entry when an observer first stands on it
     sight: Any = field(default=None, init=False, repr=False, compare=False)
+    # cell -> how many living agents stand on it
+    living: Counter[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.node_index = {node.pos: index for index, node in enumerate(self.nodes)}
+        self.living = Counter(agent.pos for agent in self.alive_agents())
 
     def alive_agents(self) -> list[AgentState]:
         return [a for a in self.agents.values() if a.alive]
 
     def occupancy(self, pos: tuple[int, int]) -> int:
         """How many living agents stand on ``pos``."""
-        return sum(1 for a in self.agents.values() if a.alive and a.pos == pos)
+        return self.living[pos]
 
 
 def place_nodes(rng: random.Random, config: GameConfig) -> list[ResourceNode]:
@@ -403,7 +431,7 @@ def new_game(config: GameConfig) -> GameState:
     config.validate()
     rng = random.Random(config.seed)
     nodes = place_nodes(rng, config)
-    state = GameState(config=config, agents={}, nodes=nodes, rng=rng)
+    agents: dict[int, AgentState] = {}
 
     sexual = config.engine_variant == VARIANT_SEXUAL_SELECTION
     # draw the n-th cell below capacity in grid order: O(roster), not O(area)
@@ -422,8 +450,9 @@ def new_game(config: GameConfig) -> GameState:
         agent = AgentState(id=i, pos=config.cell_at(cell), attrs=attrs)
         if sexual:
             agent.vitality = rng.randint(1, 10)
-        state.agents[i] = agent
-    state.next_agent_id = config.n_agents
+        agents[i] = agent
+    state = GameState(config=config, agents=agents, nodes=nodes, rng=rng,
+                      next_agent_id=config.n_agents)
 
     if sexual:
         from .mating import assign_roles, vitality_endowment

@@ -38,10 +38,10 @@ where a decision exposes ``action`` (an Action) and ``parse_status``
 
 from __future__ import annotations
 
-import gc
 import math
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
 from . import mating as _mating
@@ -66,6 +66,7 @@ from .core import (
     VARIANT_SEXUAL_SELECTION,
     VISION_RANGE,
     chebyshev,
+    collector_paused,
 )
 from .gamelog import Delta, GameLog, end_event, header_event
 
@@ -466,6 +467,9 @@ def resolve_action(state: GameState, agent: AgentState, action: Action, delta: D
 # A decided action: (action, fallback flag, policy fault text or None).
 Plan = tuple[Action, bool, str | None]
 
+# Ids are given out in increasing order, so the roster is in id order.
+_roster_order = attrgetter("id")
+
 
 def play_turn(state: GameState, policies: Any,
               decide: Callable[[list[int]], dict[int, Plan]]) -> Iterator[dict[str, Any]]:
@@ -502,8 +506,8 @@ def play_turn(state: GameState, policies: Any,
             continue
         delta = Delta(state)
         outcome = resolve_action(state, agent, action, delta, policies, births)
-        touched = sorted({op[1] for op in delta.ops if op[0] == "agent"})  # roster order
-        deaths.extend(sweep_deaths(state, delta, [state.agents[i] for i in touched]))
+        if delta.dying:  # only an agent whose food or health fell to 0 can die here
+            deaths.extend(sweep_deaths(state, delta, sorted(delta.dying, key=_roster_order)))
         yield {"type": "action", "turn": turn, "agent_id": aid, "action": text,
                "outcome": outcome, "fallback": fallback, "delta": delta.ops}
         history = state.recent_actions.setdefault(aid, [])
@@ -552,17 +556,11 @@ def run_game(state: GameState, policies: Any) -> GameLog:
     game plays, and left on or off afterwards as it was found, on error too.
     """
     # A game's records and state hold no reference cycles, so a collection
-    # during the game frees nothing and only re-walks the growing log;
-    # reference counting frees what the game drops.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # during the game would only re-walk the growing log.
+    with collector_paused():
         log = GameLog()
         log.append(header_event(state))
         while (reason := check_termination(state)) is None:
             log.extend(step(state, policies))
         log.append(end_event(state, reason))
         return log
-    finally:
-        if was_enabled:
-            gc.enable()

@@ -24,6 +24,20 @@ A delta is a list of atomic ops:
     ["node", index, "stock", before, after]
     ["spawn", agent_snapshot]
 
+``GameLog.from_text`` reads a log line by line, with the cyclic garbage
+collector paused (the records are trees). Each line is decoded once, by one
+shared decoder's ``scan_once``, and kept when the scan ends at the line's end
+with a record of a known type that has all its keys. Any other line is read
+again by the per-line reader, which skips a blank line, keeps a padded
+record, and otherwise raises LogError naming the line and the first problem:
+
+    invalid JSON (...)          the decoder's reason
+    unreadable number (...)     an integer longer than sys.get_int_max_str_digits()
+    nested too deeply to read   past the recursion limit
+    not a known event record    not an object, or its type is not a record type
+    <type> record lacks <keys>
+    <path> must be an integer   a float, NaN or Infinity, at a path as delta[0][4]
+
 ``replay`` is the integrity checker: it re-executes the game with the
 engine's rules and compares every record. Decisions are read from the log
 (action text, fallback flag, policy faults, a chooser's accept/reject);
@@ -39,7 +53,16 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from .actions import REST, parse_action
-from .core import AgentState, ConfigError, GameConfig, GameState, ResourceNode, new_game, read_text
+from .core import (
+    AgentState,
+    ConfigError,
+    GameConfig,
+    GameState,
+    ResourceNode,
+    collector_paused,
+    new_game,
+    read_text,
+)
 
 LOG_VERSION = 1
 
@@ -88,6 +111,30 @@ def _decode(line: str) -> tuple[Any, str | None]:
         return _DECODER.decode(line), None
     except _NotAnInteger as exc:
         return json.loads(line), str(exc)
+
+
+def _record(lineno: int, line: str) -> dict[str, Any]:
+    """The record on stripped, non-blank ``line``; LogError says why it is
+    not one. It decodes once more what ``from_text``'s scan turned down."""
+    try:
+        event, number = _decode(line)
+    except json.JSONDecodeError as exc:
+        raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise LogError(f"line {lineno}: nested too deeply to read") from exc
+    except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits()``
+        raise LogError(f"line {lineno}: unreadable number ({exc})") from exc
+    etype = event.get("type") if isinstance(event, dict) else None
+    if not isinstance(etype, str) or etype not in RECORD_KEYS:
+        raise LogError(f"line {lineno}: not a known event record")
+    required = RECORD_KEYS[etype]
+    if not required <= event.keys():
+        missing = ", ".join(sorted(required - event.keys()))
+        raise LogError(f"line {lineno}: {etype} record lacks {missing}")
+    if number is not None:
+        raise LogError(f"line {lineno} ({etype}): {_float_path(event)} "
+                       f"must be an integer, got {number}")
+    return event
 
 
 def _float_path(value: Any, path: str = "") -> str | None:
@@ -249,29 +296,30 @@ class GameLog:
 
     @classmethod
     def from_text(cls, text: str) -> "GameLog":
+        """Read a log's text with the collector paused; LogError names the
+        first line that is not a record (see the module docstring)."""
         log = cls()
-        # ``splitlines`` would also break at U+0085, U+2028 and U+2029, which
-        # the encoder writes raw inside strings
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                event, number = _decode(line)
-            except json.JSONDecodeError as exc:
-                raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            etype = event.get("type") if isinstance(event, dict) else None
-            if not isinstance(etype, str) or etype not in RECORD_KEYS:
-                raise LogError(f"line {lineno}: not a known event record")
-            required = RECORD_KEYS[etype]
-            if not required <= event.keys():
-                missing = ", ".join(sorted(required - event.keys()))
-                raise LogError(f"line {lineno}: {etype} record lacks {missing}")
-            if number is not None:
-                raise LogError(f"line {lineno} ({etype}): {_float_path(event)} "
-                               f"must be an integer, got {number}")
-            log.events.append(event)
-            log._lines.append(line)
+        events, lines = log.events, log._lines
+        scan = _DECODER.scan_once
+        with collector_paused():
+            # ``splitlines`` would also break at U+0085, U+2028 and U+2029,
+            # which the encoder writes raw inside strings
+            for lineno, line in enumerate(text.split("\n"), start=1):
+                try:
+                    event, end = scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = -1
+                etype = event.get("type") if end == len(line) and type(event) is dict else None
+                required = RECORD_KEYS.get(etype) if type(etype) is str else None
+                if required is None or not required <= event.keys():
+                    # blank, padded or not a record: the per-line reader
+                    # reads it again, and names the problem if there is one
+                    line = line.strip()
+                    if not line:
+                        continue
+                    event = _record(lineno, line)
+                events.append(event)
+                lines.append(line)
         return log
 
     @classmethod
@@ -415,12 +463,16 @@ class Delta:
     """Applies mutations to live state while recording verifiable ops.
 
     Routing every write through here keeps the log and the state consistent
-    by construction.
+    by construction, and keeps ``GameState.living`` in step with the
+    agents' positions and liveness. ``dying`` lists each agent whose food or
+    health this delta set to 0 or below (once per such write), so a death
+    sweep reads only those agents.
     """
 
     def __init__(self, state: GameState):
         self.state = state
         self.ops: list[list[Any]] = []
+        self.dying: list[AgentState] = []
 
     def set_agent(self, agent: AgentState, fieldname: str, value: Any) -> None:
         if fieldname.startswith("attr:"):
@@ -440,12 +492,20 @@ class Delta:
             value = [value[0], value[1]]
             if before == value:
                 return
-            agent.pos = (value[0], value[1])
+            pos = (value[0], value[1])
+            if agent.alive:
+                self.state.living[agent.pos] -= 1
+                self.state.living[pos] += 1
+            agent.pos = pos
         else:
             before = getattr(agent, fieldname)
             if before == value:
                 return
             setattr(agent, fieldname, value)
+            if fieldname == "alive":
+                self.state.living[agent.pos] += 1 if value else -1
+            elif (fieldname == "food" or fieldname == "health") and value <= 0:
+                self.dying.append(agent)
         self.ops.append(["agent", agent.id, fieldname, before, value])
 
     def set_node_stock(self, index: int, value: int) -> None:
@@ -457,5 +517,7 @@ class Delta:
 
     def spawn(self, agent: AgentState) -> None:
         self.state.agents[agent.id] = agent
+        if agent.alive:
+            self.state.living[agent.pos] += 1
         self.ops.append(["spawn", agent_snapshot(agent)])
 

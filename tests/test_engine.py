@@ -7,6 +7,7 @@ import os
 import socket
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -828,3 +829,44 @@ def test_a_game_makes_no_reference_cycles(monkeypatch, name):
             gc.enable()
     faults = sum(1 for record in log if record["type"] == "policy_fault")
     assert (faults > 0) == (name not in ("P1", "V7", "crowd-shaped"))
+
+
+@pytest.mark.parametrize("name, seed, kind", [("V7", 7, "births"),
+                                              ("crowd-shaped", None, "deaths")])
+def test_cell_counts_match_a_roster_scan_after_every_action(monkeypatch, name, seed, kind):
+    # occupancy reads counts that Delta keeps; the oracle counts the roster
+    if seed is None:
+        config, policies = crowd_shaped_game()
+    else:
+        config, policies = preset_game(name, seed=seed)
+    state = new_game(config)
+    play_turn = engine.play_turn
+    checks = []
+
+    def checked_turn(state, *args):
+        for record in play_turn(state, *args):
+            scanned = Counter(agent.pos for agent in state.alive_agents())
+            assert {pos: n for pos, n in state.living.items() if n != 0} == scanned
+            assert all(state.occupancy(pos) == n for pos, n in scanned.items())
+            checks.append(record["type"])
+            yield record
+
+    monkeypatch.setattr(engine, "play_turn", checked_turn)
+    log = run_game(state, policies)
+    assert checks.count("action") == sum(1 for record in log if record["type"] == "action")
+    assert any(record[kind] for record in log if record["type"] == "turn_end")
+    if kind == "deaths":  # deaths during resolution, not only at upkeep
+        assert any(op[2] == "alive" for record in log if record["type"] == "action"
+                   for op in record["delta"])
+
+
+def test_a_resolution_sweeps_only_agents_whose_food_or_health_fell():
+    attacker = make_agent(0, (1, 1), attrs=flat_attrs(9), tokens=5)
+    victim = make_agent(1, (1, 1), health=3)
+    state = make_state([attacker, victim])
+    delta = Delta(state)
+    resolve_action(state, attacker, Attack(target_id=1), delta, None, [])
+    assert delta.dying == [victim]  # the attacker's tokens and role are not noted
+    delta.set_agent(attacker, "role", ROLE_PROVIDER)
+    delta.set_agent(attacker, "tokens", 0)
+    assert delta.dying == [victim]

@@ -1,11 +1,15 @@
 """Log serialization and replay verification."""
 
+import gc
 import hashlib
 import json
 import random
+import re
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridarena import gamelog
 from gridarena.cli import main
@@ -18,7 +22,7 @@ from gridarena.gamelog import (
     ReplayError,
     replay,
 )
-from gridarena.harness import analyze, run_experiment
+from gridarena.harness import PRESETS, analyze, build_policy_map, resolve_config, run_experiment
 from gridarena.metrics import MetricsError, summarize
 from gridarena.policy import Policy, PolicyMap, make_scripted
 
@@ -148,6 +152,95 @@ def test_append_rejects_unknown_event_types():
     log = GameLog()
     with pytest.raises(LogError):
         log.append({"type": "mystery"})
+
+
+def malformed_line_log(tmp_path, line):
+    """A real log whose second line is ``line``."""
+    lines = scripted_log().to_text().splitlines()
+    lines[1] = line
+    path = tmp_path / "bad.log"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def assert_both_commands_name(path, tmp_path, capsys, message):
+    with pytest.raises(LogError, match=message):
+        GameLog.read(path)
+    assert main(["replay", str(path)]) == 4
+    assert re.search(message, capsys.readouterr().err)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python reads integers of any length")
+def test_an_integer_past_the_digit_limit_is_a_log_error(tmp_path, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path = malformed_line_log(tmp_path, f'{{"type":"upkeep","turn":{digits},'
+                                        f'"delta":[],"deaths":[]}}')
+    assert_both_commands_name(path, tmp_path, capsys, r"line 2: unreadable number \(Exceeds")
+
+
+def test_a_line_nested_past_the_recursion_limit_is_a_log_error(tmp_path, capsys):
+    path = malformed_line_log(tmp_path, '{"type":"upkeep","turn":0,"delta":[],"deaths":'
+                                        + "[" * 100_000)
+    assert_both_commands_name(path, tmp_path, capsys, "line 2: nested too deeply to read")
+
+
+def test_padded_and_blank_lines_read_as_their_records():
+    log = scripted_log()
+    lines = log.to_text().splitlines()
+    padded = ["", " \t" + lines[0], lines[1] + " ", "   "] + lines[2:]
+    clone = GameLog.from_text("\n".join(padded))
+    assert clone.events == log.events
+    assert list(clone.lines()) == list(log.lines())
+
+
+ROUND_TRIP_GAMES = {
+    "P1": ("P1", None, None),
+    "V7": ("V7", None, None),
+    "crowd-shaped": ("P1", {"grid_width": 12, "grid_height": 12, "n_food_nodes": 10,
+                            "n_token_nodes": 5, "n_agents": 24, "upkeep": 1,
+                            "max_turns": 30},
+                     "mixed:0-5=aggressor,6-11=trader,12-17=walker,*=greedy"),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_GAMES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+def test_an_engine_log_reads_back_as_it_was_written(name, seed):
+    preset, overrides, policies = ROUND_TRIP_GAMES[name]
+    config = resolve_config(PRESETS[preset], overrides or {}, seed)
+    log = run_game(new_game(config),
+                   build_policy_map(policies or PRESETS[preset].policy_assignment, config))
+    clone = GameLog.from_text(log.to_text())
+    assert clone.events == log.events
+    assert list(clone.lines()) == list(log.lines())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reading_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    seen = []
+    record = gamelog._record
+    monkeypatch.setattr(gamelog, "_record",
+                        lambda *args: seen.append(gc.isenabled()) or record(*args))
+    text = " " + scripted_log().to_text()  # a padded line goes to _record
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        GameLog.from_text(text)
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_read_that_fails_restores_the_collector():
+    assert gc.isenabled()
+    with pytest.raises(LogError, match="line 2: invalid JSON"):
+        GameLog.from_text(scripted_log().to_text().replace("\n", "\nnot json\n", 1))
+    assert gc.isenabled()
 
 
 def test_replay_accepts_untampered_logs():
