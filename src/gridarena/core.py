@@ -374,7 +374,8 @@ class ResourceNode:
 
 @dataclass
 class GameState:
-    """Whole-game mutable state. Mutated only inside ``engine.step``.
+    """Whole-game mutable state. Mutated only by ``engine.play_turn``, which
+    plays a turn both for ``engine.step`` and for ``gamelog.replay``.
 
     An agent's position and liveness change only through ``gamelog.Delta``
     (``set_agent`` on ``pos`` or ``alive``, ``spawn``), which keeps

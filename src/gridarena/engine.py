@@ -21,7 +21,11 @@ One turn runs in a fixed order:
    permutation of agent ids; an agent killed before its action resolves
    has it cancelled (outcome ``cancelled_dead``).
 5. regen: nodes restock by ``regen`` up to their cap.
-6. death sweep and turn_end bookkeeping; the turn counter increments.
+6. turn_end bookkeeping (the turn's deaths and births); the turn counter
+   increments. No death is left to sweep: steps 1 and 4 pass every agent
+   whose food or health they set to 0 or below to ``sweep_deaths``, nothing
+   else writes those fields and offspring start fed, so the turn_end
+   ``delta`` is always empty.
 
 ``play_turn`` holds these rules; steps 2-3 are its callback, which asks the
 policies in ``step`` and reads a log's decisions in ``gamelog.replay``.
@@ -309,11 +313,9 @@ def apply_upkeep(state: GameState, delta: Delta) -> list[int]:
     if cost == 0:
         return deaths
     for agent in state.alive_agents():
-        new_food = max(0, agent.food - cost)
-        delta.set_agent(agent, "food", new_food)
-        if new_food == 0:
-            delta.set_agent(agent, "alive", False)
-            deaths.append(agent.id)
+        delta.set_agent(agent, "food", max(0, agent.food - cost))
+        if agent.food == 0:
+            deaths += sweep_deaths(state, delta, [agent])
     return deaths
 
 
@@ -322,11 +324,13 @@ def regen_nodes(state: GameState, delta: Delta) -> None:
         delta.set_node_stock(index, min(node.stock_cap, node.stock + node.regen))
 
 
-def sweep_deaths(state: GameState, delta: Delta,
-                 agents: list[AgentState] | None = None) -> list[int]:
-    """Flip ``agents`` (default: the roster) whose food or health hit 0."""
+def sweep_deaths(state: GameState, delta: Delta, agents: list[AgentState]) -> list[int]:
+    """Flip to dead each of ``agents``, in order, that is alive with food or
+    health at 0 or below, and return their ids. It is the only code that
+    kills: upkeep passes each agent it starves, and a resolution the agents
+    its delta noted as ``dying``."""
     deaths = []
-    for agent in state.alive_agents() if agents is None else agents:
+    for agent in agents:
         if agent.alive and (agent.food <= 0 or agent.health <= 0):
             delta.set_agent(agent, "alive", False)
             deaths.append(agent.id)
@@ -519,12 +523,9 @@ def play_turn(state: GameState, policies: Any,
     regen_nodes(state, delta)
     yield {"type": "regen", "turn": turn, "delta": delta.ops}
 
-    # 6. closing sweep (a no-op unless a resolution missed a death) and bookkeeping
-    delta = Delta(state)
-    deaths.extend(sweep_deaths(state, delta))
+    # 6. bookkeeping
     state.turn = turn + 1
-    yield {"type": "turn_end", "turn": turn, "deaths": deaths, "births": births,
-           "delta": delta.ops}
+    yield {"type": "turn_end", "turn": turn, "deaths": deaths, "births": births, "delta": []}
 
 
 def _plan(decision: Any) -> Plan:

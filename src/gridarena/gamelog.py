@@ -13,8 +13,7 @@ appear in a log::
     policy_fault  a policy raised; REST was substituted for that agent
     action    one resolved action (agent_id, action text, outcome, fallback, delta)
     regen     node restock (delta)
-    turn_end  deaths and births of the completed turn (plus a closing
-              death-sweep delta, normally empty)
+    turn_end  deaths and births of the completed turn (its delta is always [])
     end       termination reason, survivor count, final snapshots
 
 A delta is a list of atomic ops:
@@ -25,11 +24,11 @@ A delta is a list of atomic ops:
     ["spawn", agent_snapshot]
 
 ``GameLog.from_text`` reads a log line by line, with the cyclic garbage
-collector paused (the records are trees). Each line is decoded once, by one
-shared decoder's ``scan_once``, and kept when the scan ends at the line's end
-with a record of a known type that has all its keys. Any other line is read
-again by the per-line reader, which skips a blank line, keeps a padded
-record, and otherwise raises LogError naming the line and the first problem:
+collector paused (the records are trees). Each line is decoded by one shared
+decoder's ``scan_once``. A line the scan does not read to its end is
+stripped of any Unicode whitespace (``str.strip``), skipped if blank, and
+otherwise decoded once more by ``_decode``. Every decoded line then passes
+one record check; LogError names the line and its first problem:
 
     invalid JSON (...)          the decoder's reason
     unreadable number (...)     an integer longer than sys.get_int_max_str_digits()
@@ -105,36 +104,20 @@ def _reject_number(text: str):
 _DECODER = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number)
 
 
-def _decode(line: str) -> tuple[Any, str | None]:
-    """A line's record, and the text of its first non-integer number if any."""
+def _decode(lineno: int, line: str) -> tuple[Any, str | None]:
+    """The value on stripped, non-blank ``line`` and the text of its first
+    non-integer number if any; LogError says why the line is not JSON."""
     try:
-        return _DECODER.decode(line), None
-    except _NotAnInteger as exc:
-        return json.loads(line), str(exc)
-
-
-def _record(lineno: int, line: str) -> dict[str, Any]:
-    """The record on stripped, non-blank ``line``; LogError says why it is
-    not one. It decodes once more what ``from_text``'s scan turned down."""
-    try:
-        event, number = _decode(line)
+        try:
+            return _DECODER.decode(line), None
+        except _NotAnInteger as exc:
+            return json.loads(line), str(exc)
     except json.JSONDecodeError as exc:
         raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:
         raise LogError(f"line {lineno}: nested too deeply to read") from exc
     except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits()``
         raise LogError(f"line {lineno}: unreadable number ({exc})") from exc
-    etype = event.get("type") if isinstance(event, dict) else None
-    if not isinstance(etype, str) or etype not in RECORD_KEYS:
-        raise LogError(f"line {lineno}: not a known event record")
-    required = RECORD_KEYS[etype]
-    if not required <= event.keys():
-        missing = ", ".join(sorted(required - event.keys()))
-        raise LogError(f"line {lineno}: {etype} record lacks {missing}")
-    if number is not None:
-        raise LogError(f"line {lineno} ({etype}): {_float_path(event)} "
-                       f"must be an integer, got {number}")
-    return event
 
 
 def _float_path(value: Any, path: str = "") -> str | None:
@@ -243,7 +226,7 @@ class GameLog:
 
     def append(self, event: dict[str, Any]) -> None:
         etype = event.get("type")
-        if etype not in RECORD_KEYS:
+        if not isinstance(etype, str) or etype not in RECORD_KEYS:
             raise LogError(f"unknown event type {etype!r}")
         self._lines.append(_dumps(event))
         self.events.append(event)
@@ -309,15 +292,24 @@ class GameLog:
                     event, end = scan(line, 0)
                 except (StopIteration, ValueError, RecursionError):
                     end = -1
-                etype = event.get("type") if end == len(line) and type(event) is dict else None
-                required = RECORD_KEYS.get(etype) if type(etype) is str else None
-                if required is None or not required <= event.keys():
-                    # blank, padded or not a record: the per-line reader
-                    # reads it again, and names the problem if there is one
+                number = None
+                if end != len(line):
+                    # blank, padded, not JSON or holding a float: decode it
+                    # once more, stripped, so a problem can be named
                     line = line.strip()
                     if not line:
                         continue
-                    event = _record(lineno, line)
+                    event, number = _decode(lineno, line)
+                etype = event.get("type") if type(event) is dict else None
+                required = RECORD_KEYS.get(etype) if type(etype) is str else None
+                if required is None:
+                    raise LogError(f"line {lineno}: not a known event record")
+                if not required <= event.keys():
+                    missing = ", ".join(sorted(required - event.keys()))
+                    raise LogError(f"line {lineno}: {etype} record lacks {missing}")
+                if number is not None:
+                    raise LogError(f"line {lineno} ({etype}): {_float_path(event)} "
+                                   f"must be an integer, got {number}")
                 events.append(event)
                 lines.append(line)
         return log

@@ -135,7 +135,7 @@ def summarize(log: GameLog) -> MetricsSummary:
     try:
         end = log.end
     except LogError as exc:
-        raise MetricsError(f"log has no termination record: {exc}") from exc
+        raise MetricsError(str(exc)) from exc
 
     counts, tallies, per_turn = _walk(log)
     total = sum(counts.values())

@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridarena import engine
 from gridarena.actions import (
@@ -521,7 +521,7 @@ def test_attack_damage_cost_and_kill():
     assert victim.health == 1
     outcome, _ = resolve(state, attacker, Attack(target_id=1))
     assert outcome == "ok" and victim.health == 0
-    assert sweep_deaths(state, Delta(state)) == [1]  # step() sweeps per action
+    assert sweep_deaths(state, Delta(state), [victim]) == [1]  # step() sweeps per action
     assert not victim.alive
 
 
@@ -787,9 +787,9 @@ def preset_game(name, **overrides):
 CROWD_SHAPED_POLICIES = "mixed:0-5=aggressor,6-11=trader,12-17=walker,*=greedy"
 
 
-def crowd_shaped_game():
+def crowd_shaped_game(seed=11):
     config = GameConfig(grid_width=12, grid_height=12, n_food_nodes=10, n_token_nodes=5,
-                        n_agents=24, upkeep=1, max_turns=30, seed=11)
+                        n_agents=24, upkeep=1, max_turns=30, seed=seed)
     return config, build_policy_map(CROWD_SHAPED_POLICIES, config)
 
 
@@ -858,6 +858,39 @@ def test_cell_counts_match_a_roster_scan_after_every_action(monkeypatch, name, s
     if kind == "deaths":  # deaths during resolution, not only at upkeep
         assert any(op[2] == "alive" for record in log if record["type"] == "action"
                    for op in record["delta"])
+
+
+@pytest.mark.parametrize("name", ["crowd-shaped", "V7"])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_every_death_is_swept_by_the_record_that_causes_it(name, seed):
+    # sweep_deaths is the only code that kills, and turn_end sweeps nothing:
+    # after every record no living agent is starved or dead of its wounds
+    if name == "V7":
+        config, policies = preset_game("V7", seed=seed)
+    else:
+        config, policies = crowd_shaped_game(seed)
+    state = new_game(config)
+    play_turn = engine.play_turn
+    turn_ends = []
+
+    def checked_turn(state, *args):
+        killed = []
+        for record in play_turn(state, *args):
+            assert all(agent.food > 0 and agent.health > 0 for agent in state.alive_agents())
+            killed += [op[1] for op in record.get("delta", ())
+                       if op[0] == "agent" and op[2] == "alive" and op[3] and not op[4]]
+            if record["type"] == "turn_end":
+                assert record["delta"] == []
+                assert all(record["deaths"].count(aid) == 1 for aid in killed)
+                assert sorted(record["deaths"]) == sorted(killed)
+                turn_ends.append(record)
+            yield record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "play_turn", checked_turn)
+        log = run_game(state, policies)
+    assert turn_ends == [record for record in log if record["type"] == "turn_end"]
 
 
 def test_a_resolution_sweeps_only_agents_whose_food_or_health_fell():

@@ -1,5 +1,6 @@
 """Log serialization and replay verification."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -152,6 +153,8 @@ def test_append_rejects_unknown_event_types():
     log = GameLog()
     with pytest.raises(LogError):
         log.append({"type": "mystery"})
+    with pytest.raises(LogError):
+        log.append({"type": []})
 
 
 def malformed_line_log(tmp_path, line):
@@ -170,6 +173,13 @@ def assert_both_commands_name(path, tmp_path, capsys, message):
     assert re.search(message, capsys.readouterr().err)
     assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
     assert re.search(message, capsys.readouterr().err)
+
+
+def test_analyze_of_a_header_only_log_names_the_missing_end_once(tmp_path, capsys):
+    path = tmp_path / "header.log"
+    path.write_text(next(scripted_log().lines()) + "\n", encoding="utf-8")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+    assert capsys.readouterr().err == f"analysis error: {path}: log has no end record\n"
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -219,13 +229,55 @@ def test_an_engine_log_reads_back_as_it_was_written(name, seed):
     assert list(clone.lines()) == list(log.lines())
 
 
+# Every character ``str.strip`` removes but "\n", which ends a line; among
+# them the ASCII separators, U+0085, U+00A0, U+2028 and U+3000.
+PADDING = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c != "\n")
+
+
+@functools.cache
+def round_trip_log(name):
+    preset, overrides, policies = ROUND_TRIP_GAMES[name]
+    config = resolve_config(PRESETS[preset], overrides or {}, 5)
+    return run_game(new_game(config),
+                    build_policy_map(policies or PRESETS[preset].policy_assignment, config))
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_GAMES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_unicode_padding_reads_as_the_line_it_pads(name, data):
+    log = round_trip_log(name)
+    lines = list(log.lines())
+    pad = st.text(PADDING, max_size=3)
+    pads = data.draw(st.dictionaries(st.integers(0, len(lines) - 1), st.tuples(pad, pad),
+                                     min_size=1, max_size=40))
+    for number, (before, after) in pads.items():
+        lines[number] = before + lines[number] + after
+    clone = GameLog.from_text("\n".join(lines))
+    assert clone.events == log.events
+    assert list(clone.lines()) == list(log.lines())
+
+
+@pytest.mark.parametrize("space", "\x0b\x0c\x1c\x85\xa0\u2028\u3000")
+def test_a_padded_float_is_still_named(space):
+    log = round_trip_log("P1")
+    lines = list(log.lines())
+    padded = GameLog.from_text("\n".join(space + line + space for line in lines))
+    assert padded.events == log.events
+    record = json.loads(lines[1])
+    record["delta"][0][4] += 0.5
+    lines[1] = space + json.dumps(record) + space
+    with pytest.raises(LogError, match=r"^line 2 \(upkeep\): delta\[0\]\[4\] must be an integer"):
+        GameLog.from_text("\n".join(lines))
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_reading_pauses_the_collector_and_restores_it(monkeypatch, enabled):
     seen = []
-    record = gamelog._record
-    monkeypatch.setattr(gamelog, "_record",
-                        lambda *args: seen.append(gc.isenabled()) or record(*args))
-    text = " " + scripted_log().to_text()  # a padded line goes to _record
+    decode = gamelog._decode
+    monkeypatch.setattr(gamelog, "_decode",
+                        lambda *args: seen.append(gc.isenabled()) or decode(*args))
+    text = " " + scripted_log().to_text()  # a padded line goes to _decode
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:

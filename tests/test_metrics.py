@@ -146,6 +146,13 @@ def test_summarize_requires_end_record():
         summarize(log)
 
 
+def test_summarize_names_a_missing_end_record_once():
+    log = GameLog([scripted_log().header])
+    with pytest.raises(MetricsError) as excinfo:
+        summarize(log)
+    assert str(excinfo.value) == "log has no end record"
+
+
 class CountingLog(GameLog):
     walks = 0
 
