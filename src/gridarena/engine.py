@@ -7,13 +7,16 @@ One turn runs in a fixed order:
    agents at 0 food die now.
 2. observations: every surviving agent gets an Observation built from the
    same post-upkeep snapshot. Per turn, ``step`` indexes that snapshot once
-   (``sight_index``): one immutable row per living agent, by cell, so one
-   observation reads only the rows within the observer's vision range and
-   no live agent. Observers on one cell share what the cell sees that turn.
-   Per game (``GameSight``), what never changes is worked out once: the
-   all-hidden node views up front, and, when an observer first stands on a
-   cell, one entry for that cell: the cells in its vision range, the nodes
-   on them, and its node order (nodes by Manhattan distance, which
+   (``sight_index``): one immutable row per living agent, found by cell
+   through a list with a slot per grid number, and one view of each node
+   with its stock. So one observation reads only the rows within the
+   observer's vision range and no live agent, and every cell that sees a
+   node shares that node's one view. Observers on one cell share what the
+   cell sees that turn. The index is dropped with the turn. Per game
+   (``GameSight``), what never changes is worked out once: the all-hidden
+   node views up front, and, when an observer first stands on a cell, one
+   entry for that cell: the cells in its vision range, the nodes on them,
+   and its node order (nodes by Manhattan distance, which
    ``Observation.node_order`` carries).
 3. decisions: policies are consulted in batch; a policy failure substitutes
    REST and logs a policy_fault record.
@@ -197,32 +200,38 @@ class SightIndex:
     """What every observation of one turn shares, read from one state.
 
     ``rows`` holds one immutable row per living agent, so an observation
-    made from it never reads the live agents; ``cells`` indexes the rows by
-    grid number. ``seen`` fills on demand and never changes once filled: what
-    an observer on a cell sees (the rows in sight, in roster order, the node
-    views and the node order)."""
+    made from it never reads the live agents; ``cells``, a list with one
+    slot per grid number, holds the positions in ``rows`` of the agents on
+    each cell. ``views`` holds each node's view with its stock, made once per
+    turn, so every cell that sees a node shares one object. ``seen`` fills on
+    demand and never changes once filled: what an observer on a cell sees
+    (the rows in sight, in roster order, the node views and the node order).
+    Everything but ``sight`` is made for the turn and dropped with it."""
 
     rows: list[Row]  # roster order
-    cells: dict[int, list[int]]  # grid number -> positions in ``rows``
+    cells: list[tuple[int, ...]]  # grid number -> positions in ``rows``
+    views: list[ObservedNode]  # ``state.nodes`` order, stock seen
     sight: GameSight
     seen: dict[Cell, tuple[list[Row], tuple[ObservedNode, ...], tuple[int, ...]]]
 
 
 def sight_index(state: GameState) -> SightIndex:
-    """Index ``state`` for ``observe``: O(agents + nodes)."""
-    sexual = state.config.engine_variant == VARIANT_SEXUAL_SELECTION
-    width = state.config.grid_width
+    """Index ``state`` for ``observe``: O(agents + nodes + cells)."""
+    config = state.config
+    sexual = config.engine_variant == VARIANT_SEXUAL_SELECTION
+    width = config.grid_width
     turn = state.turn
     rows: list[Row] = []
-    cells: dict[int, list[int]] = {}
+    cells: list[tuple[int, ...]] = [()] * config.area
     for agent in state.alive_agents():
         x, y = pos = agent.pos
-        cells.setdefault(x + y * width, []).append(len(rows))
+        cells[x + y * width] += (len(rows),)
         rows.append((agent.id, pos, agent.food, agent.tokens,
                      agent.role if sexual else None,
                      agent.vitality if sexual else None,
                      agent.attrs if agent.revealed(turn) else None))
-    return SightIndex(rows=rows, cells=cells, sight=_game_sight(state), seen={})
+    views = [_make(ObservedNode, (node.pos, node.kind, node.stock)) for node in state.nodes]
+    return SightIndex(rows=rows, cells=cells, views=views, sight=_game_sight(state), seen={})
 
 
 def _seen_from(state: GameState, index: SightIndex, pos: Cell
@@ -236,10 +245,10 @@ def _seen_from(state: GameState, index: SightIndex, pos: Cell
     reach, in_sight, order = entry
 
     ranks: list[int] = []
-    get = index.cells.get
+    cells = index.cells
     for near in reach:
-        found = get(near)
-        if found is not None:
+        found = cells[near]
+        if found:
             ranks += found
     ranks.sort()
     rows = index.rows
@@ -248,9 +257,9 @@ def _seen_from(state: GameState, index: SightIndex, pos: Cell
     if not in_sight:
         return seen_rows, sight.hidden, tuple(order)
     nodes = list(sight.hidden)
+    views = index.views
     for rank in in_sight:
-        node_pos, kind, _ = nodes[rank]
-        nodes[rank] = _make(ObservedNode, (node_pos, kind, state.nodes[rank].stock))
+        nodes[rank] = views[rank]
     return seen_rows, tuple(nodes), tuple(order)
 
 
@@ -264,14 +273,16 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
     the node indices nearest first (see ``Observation``).
 
     ``index`` must be ``sight_index`` of this same state, unchanged since;
-    ``step`` builds it once per turn, with one row per living agent, so an
-    observation costs O(agents in vision range), plus O(cells in vision
-    range + nodes) for the first observer on its cell this turn. Without it
-    the call indexes the state itself, which is O(agents + nodes).
-    Observers of one index on the same cell share one ``nodes`` and one
-    ``node_order`` tuple. Per game, ``GameSight`` keeps the all-hidden node
-    views and, for each cell an observer has stood on, one entry: the cells
-    and the nodes in its vision range and its node order.
+    ``step`` builds it once per turn, with one row per living agent and one
+    view per node, so an observation costs O(agents in vision range), plus
+    O(cells in vision range + nodes) for the first observer on its cell this
+    turn. Without it the call indexes the state itself, which is O(agents +
+    nodes + cells). Observers of one index on the same cell share one
+    ``nodes`` and one ``node_order`` tuple, and every ``nodes`` tuple of one
+    index holds the index's view of each node in sight. Per game,
+    ``GameSight`` keeps the all-hidden node views and, for each cell an
+    observer has stood on, one entry: the cells and the nodes in its vision
+    range and its node order.
     """
     if index is None:
         index = sight_index(state)
@@ -283,16 +294,14 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
         seen = index.seen[agent.pos] = _seen_from(state, index, agent.pos)
     rows, nodes, node_order = seen
 
-    nearby = []
-    for other_id, pos, food, tokens, role, vitality, attrs in rows:
-        if other_id != agent_id:
-            nearby.append(_make(NearbyAgent, (
-                other_id, pos, quantize(food, width), quantize(tokens, width),
-                role, vitality, attrs)))
+    nearby = tuple([
+        _make(NearbyAgent, (other_id, pos, quantize(food, width), quantize(tokens, width),
+                            role, vitality, attrs))
+        for other_id, pos, food, tokens, role, vitality, attrs in rows if other_id != agent_id])
 
     return _make(Observation, (
         agent.snapshot(),
-        tuple(nearby),
+        nearby,
         nodes,
         node_order,
         tuple(state.recent_actions.get(agent_id, ())),

@@ -225,9 +225,15 @@ class GameLog:
         self.extend(events)
 
     def append(self, event: dict[str, Any]) -> None:
+        """Add ``event`` as the next line. LogError refuses a record that
+        ``from_text`` would refuse for its type or its keys."""
         etype = event.get("type")
-        if not isinstance(etype, str) or etype not in RECORD_KEYS:
+        required = RECORD_KEYS.get(etype) if isinstance(etype, str) else None
+        if required is None:
             raise LogError(f"unknown event type {etype!r}")
+        if not required <= event.keys():
+            missing = ", ".join(sorted(required - event.keys()))
+            raise LogError(f"line {len(self._lines) + 1}: {etype} record lacks {missing}")
         self._lines.append(_dumps(event))
         self.events.append(event)
 

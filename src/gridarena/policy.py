@@ -196,6 +196,15 @@ def parse_verdict(text: str) -> bool | None:
 # Policy interface
 
 
+def _decided(policy: "Policy", obs: Observation) -> PolicyDecision | BaseException:
+    """``policy.decide(obs)``, or the exception it raised, without its
+    traceback."""
+    try:
+        return policy.decide(obs)
+    except Exception as exc:
+        return exc.with_traceback(None)
+
+
 class Policy:
     """Decision maker for one or more agents.
 
@@ -208,13 +217,7 @@ class Policy:
         raise NotImplementedError
 
     def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision | BaseException]:
-        out: list[PolicyDecision | BaseException] = []
-        for obs in observations:
-            try:
-                out.append(self.decide(obs))
-            except Exception as exc:
-                out.append(exc.with_traceback(None))
-        return out
+        return [_decided(self, obs) for obs in observations]
 
     def evaluate_proposal(self, view: Any) -> bool:
         """A chooser's verdict on a REPRODUCE proposal. It may raise (a
@@ -229,6 +232,8 @@ class PolicyMap:
     Policies are created lazily through ``factory(agent)`` and cached by
     agent id, so offspring born mid-game get policies on first use.
     Observations are batched per policy instance, preserving agent-id order.
+    A batch of one for a policy that keeps ``Policy.decide_batch`` is asked
+    through ``decide`` directly, which gives what that ``decide_batch`` would.
     """
 
     def __init__(self, factory):
@@ -255,6 +260,10 @@ class PolicyMap:
 
         results: dict[int, PolicyDecision | BaseException] = {}
         for policy, ids in groups.values():
+            if len(ids) == 1 and type(policy).decide_batch is Policy.decide_batch:
+                # a group of one, as each scripted agent is
+                results[ids[0]] = _decided(policy, observations[ids[0]])
+                continue
             try:
                 batch = list(policy.decide_batch([observations[a] for a in ids]))
             except Exception as exc:
@@ -465,15 +474,6 @@ class LLMPolicy(Policy):
 
     def __init__(self, gateway_config: GatewayConfig):
         self.gateway_config = gateway_config
-
-    def decide(self, obs: Observation) -> PolicyDecision:
-        result = self.decide_batch([obs])[0]
-        if isinstance(result, BaseException):
-            try:
-                raise result
-            finally:
-                result = None  # its traceback holds this frame: keep no cycle
-        return result
 
     def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision | BaseException]:
         prompts = [build_prompt(obs) for obs in observations]

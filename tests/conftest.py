@@ -20,6 +20,9 @@ from gridarena.gateway import GatewayConfig
 from gridarena.policy import PolicyDecision, ScriptedPolicy
 
 settings.register_profile("suite", deadline=None, max_examples=100)
+# A deeper search for the property tests, chosen on the command line with
+# ``--hypothesis-profile deep``.
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 KEY_ENV = "ARENA_TEST_KEY"

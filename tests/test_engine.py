@@ -7,6 +7,8 @@ import os
 import socket
 import subprocess
 import sys
+import weakref
+from array import array
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +41,7 @@ from gridarena.core import (
     new_game,
 )
 from gridarena.engine import (
+    GameSight,
     NearbyAgent,
     Observation,
     ObservedNode,
@@ -341,15 +344,18 @@ def test_each_cell_an_observer_stood_on_gets_one_sight_entry(monkeypatch):
 
 class ObservationCheck:
     """Wraps a policy map and checks, before it decides, that each
-    observation ``step`` built equals ``observe`` without an index."""
+    observation ``step`` built equals ``reference`` of the live state
+    (``observe`` without an index unless given)."""
 
-    def __init__(self, policies, state):
+    def __init__(self, policies, state, reference=observe):
         self.policies, self.state, self.observers = policies, state, set()
+        self.reference, self.turns = reference, 0
 
     def decide_all(self, observations):
         for agent_id, obs in observations.items():
-            assert obs == observe(self.state, agent_id)
+            assert obs == self.reference(self.state, agent_id)
         self.observers.update(observations)
+        self.turns += 1
         return self.policies.decide_all(observations)
 
     def evaluate_proposal(self, chooser, view):
@@ -364,6 +370,33 @@ def test_step_observations_equal_unindexed_observe_in_a_game_with_births():
     log = run_game(state, check)
     assert sum(len(e["births"]) for e in log if e["type"] == "turn_end") > 0
     assert any(agent_id >= config.n_agents for agent_id in check.observers)  # offspring
+
+
+@pytest.mark.parametrize("game", ["crowd-shaped", "V7"])
+def test_every_turns_observations_equal_the_roster_scan(game, monkeypatch):
+    # what a turn shares (rows by cell, node views) is made for that turn and
+    # dropped with it: a view kept from an earlier turn would show old stock
+    indexes, make = [], engine.sight_index
+
+    def sight_index(state):
+        index = make(state)
+        indexes.append(weakref.ref(index))
+        return index
+
+    monkeypatch.setattr(engine, "sight_index", sight_index)
+    config, policies = (crowd_shaped_game() if game == "crowd-shaped"
+                        else preset_game("V7", seed=3))
+    state = new_game(config)
+    check = ObservationCheck(policies, state, reference=scan_observe)
+    run_game(state, check)
+    assert check.turns == state.turn == len(indexes) > 1
+    assert all(index() is None for index in indexes)
+    sight = state.sight
+    assert type(sight) is GameSight and GameSight._fields == ("hidden", "by_pos", "cells")
+    assert sight.hidden == tuple(ObservedNode(node.pos, node.kind, None) for node in state.nodes)
+    assert type(sight.by_pos) is array
+    for entry in sight.cells.values():
+        assert type(entry) is tuple and [type(table) for table in entry] == [array] * 3
 
 
 class ObservationKeeper:

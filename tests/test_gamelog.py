@@ -157,6 +157,16 @@ def test_append_rejects_unknown_event_types():
         log.append({"type": []})
 
 
+def test_append_refuses_a_record_its_reader_refuses():
+    log = GameLog([{"type": "regen", "turn": 0, "delta": []}])
+    with pytest.raises(LogError, match=r"^line 2: upkeep record lacks deaths, delta, turn$"):
+        log.append({"type": "upkeep"})
+    with pytest.raises(LogError) as read:
+        GameLog.from_text(log.to_text() + '{"type":"upkeep"}\n')
+    assert str(read.value) == "line 2: upkeep record lacks deaths, delta, turn"
+    assert len(log) == 1 and log.to_text().count("\n") == 1  # nothing was added
+
+
 def malformed_line_log(tmp_path, line):
     """A real log whose second line is ``line``."""
     lines = scripted_log().to_text().splitlines()

@@ -264,6 +264,35 @@ def test_policy_map_isolates_per_agent_faults():
     assert decisions[1].action == REST and decisions[3].action == REST
 
 
+def test_policy_map_asks_each_policy_once_in_the_order_of_its_first_agent():
+    calls = []
+
+    class Named(Policy):
+        def __init__(self, name):
+            self.name = name
+
+        def decide(self, obs):
+            calls.append((self.name, obs.agent.id))
+            if self.name == "raises":
+                raise ValueError("no decision")
+            return PolicyDecision(action=REST)
+
+    class Batched(Named):
+        def decide_batch(self, observations):
+            calls.append((self.name, [obs.agent.id for obs in observations]))
+            return [PolicyDecision(action=GATHER)]
+
+    shared = Named("shared")
+    policies = {0: shared, 1: Named("alone"), 2: shared, 3: Batched("batched"),
+                4: Named("raises")}
+    decisions = PolicyMap(lambda agent: policies[agent.id]).decide_all(
+        observations_for([4, 3, 2, 1, 0]))
+    assert calls == [("shared", 0), ("shared", 2), ("alone", 1), ("batched", [3]),
+                     ("raises", 4)]
+    assert [decisions[i].action for i in range(4)] == [REST, REST, REST, GATHER]
+    assert isinstance(decisions[4], ValueError) and decisions[4].__traceback__ is None
+
+
 def test_policy_map_evaluate_proposal_fault_rejects():
     class Boom(Policy):
         def evaluate_proposal(self, view):
@@ -450,11 +479,10 @@ def test_llm_policy_parses_and_falls_back(stub_gateway):
         me = make_agent(agent_id, (0, 0))
         return observation(me, recent=[note])
 
-    good = policy.decide(ctx(0, "good"))
+    good, chatty, broken = policy.decide_batch(
+        [ctx(0, "good"), ctx(1, "chatty"), ctx(2, "broken")])
     assert good.action == GATHER and good.parse_status == "ok"
-    chatty = policy.decide(ctx(1, "chatty"))
     assert chatty.action == Move(steps=("N",)) and chatty.parse_status == "ok"
-    broken = policy.decide(ctx(2, "broken"))
     assert broken.action == REST and broken.parse_status == "fallback"
     assert broken.raw_response == "I simply cannot decide"
 
@@ -512,8 +540,9 @@ def test_llm_decide_against_a_refused_endpoint_leaves_no_cycle(monkeypatch):
         gc.collect()
         gc.disable()
         try:
-            with pytest.raises(GatewayError):
-                policy.decide(observation(make_agent(0, (0, 0))))
+            [result] = policy.decide_batch([observation(make_agent(0, (0, 0)))])
+            assert isinstance(result, GatewayError)
+            del result
             assert gc.collect() == 0
         finally:
             gc.enable()
