@@ -127,6 +127,26 @@ REST = Rest()
 GATHER = Gather()
 
 
+@dataclass(frozen=True)
+class PolicyDecision:
+    """One agent's decision, from policy to log. A "fallback" ``parse_status``
+    means the policy gave no action (an unparseable reply, or a fault whose
+    text is ``error``) and plays REST."""
+
+    action: Action
+    raw_response: str = ""
+    parse_status: str = "ok"
+    error: str | None = None
+
+    def __post_init__(self):
+        if self.parse_status not in ("ok", "fallback"):
+            raise ValueError(f"bad parse_status {self.parse_status!r}")
+        if self.parse_status == "fallback" and self.action != REST:
+            raise ValueError("fallback decisions must be REST")
+        if self.error is not None and self.parse_status != "fallback":
+            raise ValueError("a fault is a fallback decision")
+
+
 def render(action: Action) -> str:
     """Canonical single-line text for an action. ``parse_action(render(a)) == a``."""
     if isinstance(action, Gather):

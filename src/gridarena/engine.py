@@ -18,8 +18,8 @@ One turn runs in a fixed order:
    entry for that cell: the cells in its vision range, the nodes on them,
    and its node order (nodes by Manhattan distance, which
    ``Observation.node_order`` carries).
-3. decisions: policies are consulted in batch; a policy failure substitutes
-   REST and logs a policy_fault record.
+3. decisions: policies are consulted in batch; a failed policy's decision
+   is REST, and a policy_fault record precedes its action record.
 4. resolution: queued actions resolve one at a time in a seeded-random
    permutation of agent ids; an agent killed before its action resolves
    has it cancelled (outcome ``cancelled_dead``).
@@ -36,11 +36,12 @@ policies in ``step`` and reads a log's decisions in ``gamelog.replay``.
 The engine is policy-agnostic: ``policies`` is any object providing
 
     decide_all(observations: dict[int, Observation])
-        -> dict[int, decision-or-Exception]
+        -> dict[int, PolicyDecision]
     evaluate_proposal(chooser: AgentState, view: ProposalView) -> bool
 
-where a decision exposes ``action`` (an Action) and ``parse_status``
-("ok" or "fallback"). ``policy.PolicyMap`` implements this protocol.
+where ``decide_all`` gives one ``actions.PolicyDecision`` per observation,
+and no exception: a failed policy's decision is a REST fallback whose
+``error`` the engine logs. ``policy.PolicyMap`` implements this protocol.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .actions import (
     DIRECTIONS,
     Gather,
     Move,
-    REST,
+    PolicyDecision,
     Reproduce,
     Rest,
     Trade,
@@ -477,17 +478,14 @@ def resolve_action(state: GameState, agent: AgentState, action: Action, delta: D
 # The turn
 
 
-# A decided action: (action, fallback flag, policy fault text or None).
-Plan = tuple[Action, bool, str | None]
-
 # Ids are given out in increasing order, so the roster is in id order.
 _roster_order = attrgetter("id")
 
 
 def play_turn(state: GameState, policies: Any,
-              decide: Callable[[list[int]], dict[int, Plan]]) -> Iterator[dict[str, Any]]:
+              decide: Callable[[list[int]], dict[int, PolicyDecision]]) -> Iterator[dict[str, Any]]:
     """Play one turn by the rules, mutating ``state`` and yielding each record
-    as it is produced. ``decide(actors)`` gives the plans of the agents alive
+    as it is produced. ``decide(actors)`` gives the decisions of the agents alive
     after upkeep; ``policies.evaluate_proposal`` answers REPRODUCE proposals."""
     turn = state.turn
     deaths: list[int] = []
@@ -501,7 +499,7 @@ def play_turn(state: GameState, policies: Any,
 
     # 2-3. observations and decisions, from the post-upkeep state
     actors = [a.id for a in state.alive_agents()]
-    plans = decide(actors)
+    decisions = decide(actors)
     state.inbox = {}
 
     # 4. sequential resolution in seeded-random order
@@ -509,16 +507,17 @@ def play_turn(state: GameState, policies: Any,
     state.rng.shuffle(order)
     for aid in order:
         agent = state.agents[aid]
-        action, fallback, fault = plans[aid]
-        text = render(action)
-        if fault is not None:
-            yield {"type": "policy_fault", "turn": turn, "agent_id": aid, "error": fault}
+        decision = decisions[aid]
+        text = render(decision.action)
+        if decision.error is not None:
+            yield {"type": "policy_fault", "turn": turn, "agent_id": aid, "error": decision.error}
+        fallback = decision.parse_status != "ok"
         if not agent.alive:
             yield {"type": "action", "turn": turn, "agent_id": aid, "action": text,
                    "outcome": OUTCOME_CANCELLED_DEAD, "fallback": fallback, "delta": []}
             continue
         delta = Delta(state)
-        outcome = resolve_action(state, agent, action, delta, policies, births)
+        outcome = resolve_action(state, agent, decision.action, delta, policies, births)
         if delta.dying:  # only an agent whose food or health fell to 0 can die here
             deaths.extend(sweep_deaths(state, delta, sorted(delta.dying, key=_roster_order)))
         yield {"type": "action", "turn": turn, "agent_id": aid, "action": text,
@@ -537,24 +536,14 @@ def play_turn(state: GameState, policies: Any,
     yield {"type": "turn_end", "turn": turn, "deaths": deaths, "births": births, "delta": []}
 
 
-def _plan(decision: Any) -> Plan:
-    """A policy's answer as a plan; a missing or failed decision is REST."""
-    if decision is None:
-        return REST, True, "policy returned no decision"
-    if isinstance(decision, BaseException):
-        return REST, True, f"{type(decision).__name__}: {decision}"
-    return decision.action, getattr(decision, "parse_status", "ok") != "ok", None
-
-
 def step(state: GameState, policies: Any) -> list[dict[str, Any]]:
     """Advance the game one full turn, mutating ``state`` in place, and
     return the turn's records."""
 
-    def decide(actors: list[int]) -> dict[int, Plan]:
+    def decide(actors: list[int]) -> dict[int, PolicyDecision]:
         index = sight_index(state)
         observations = {aid: observe(state, aid, index) for aid in actors}
-        decisions = policies.decide_all(observations) if actors else {}
-        return {aid: _plan(decisions.get(aid)) for aid in actors}
+        return policies.decide_all(observations) if actors else {}
 
     return list(play_turn(state, policies, decide))
 

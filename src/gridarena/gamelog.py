@@ -39,9 +39,10 @@ one record check; LogError names the line and its first problem:
 
 ``replay`` is the integrity checker: it re-executes the game with the
 engine's rules and compares every record. Decisions are read from the log
-(action text, fallback flag, policy faults, a chooser's accept/reject);
-everything else (snapshots, deltas, outcomes, order, deaths, births, the end
-record) is re-derived.
+(action text, fallback flag, policy faults, a chooser's accept/reject) as
+the ``PolicyDecision``s the engine plays, which refuse a fallback on any
+action but REST; everything else (snapshots, deltas, outcomes, order,
+deaths, births, the end record) is re-derived.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from .actions import REST, parse_action
+from .actions import REST, PolicyDecision, parse_action
 from .core import (
     AgentState,
     ConfigError,
@@ -118,6 +119,19 @@ def _decode(lineno: int, line: str) -> tuple[Any, str | None]:
         raise LogError(f"line {lineno}: nested too deeply to read") from exc
     except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits()``
         raise LogError(f"line {lineno}: unreadable number ({exc})") from exc
+
+
+def _checked_type(lineno: int, event: Any) -> str:
+    """The type of ``event``, a record that line ``lineno`` holds or would
+    hold; LogError unless it is an object of a record type with its keys."""
+    etype = event.get("type") if type(event) is dict else None
+    required = RECORD_KEYS.get(etype) if type(etype) is str else None
+    if required is None:
+        raise LogError(f"line {lineno}: not a known event record")
+    if not required <= event.keys():
+        missing = ", ".join(sorted(required - event.keys()))
+        raise LogError(f"line {lineno}: {etype} record lacks {missing}")
+    return etype
 
 
 def _float_path(value: Any, path: str = "") -> str | None:
@@ -225,15 +239,9 @@ class GameLog:
         self.extend(events)
 
     def append(self, event: dict[str, Any]) -> None:
-        """Add ``event`` as the next line. LogError refuses a record that
-        ``from_text`` would refuse for its type or its keys."""
-        etype = event.get("type")
-        required = RECORD_KEYS.get(etype) if isinstance(etype, str) else None
-        if required is None:
-            raise LogError(f"unknown event type {etype!r}")
-        if not required <= event.keys():
-            missing = ", ".join(sorted(required - event.keys()))
-            raise LogError(f"line {len(self._lines) + 1}: {etype} record lacks {missing}")
+        """Add ``event`` as the next line. LogError refuses, with the same
+        message, a record that ``from_text`` would refuse for its type or keys."""
+        _checked_type(len(self._lines) + 1, event)
         self._lines.append(_dumps(event))
         self.events.append(event)
 
@@ -306,13 +314,7 @@ class GameLog:
                     if not line:
                         continue
                     event, number = _decode(lineno, line)
-                etype = event.get("type") if type(event) is dict else None
-                required = RECORD_KEYS.get(etype) if type(etype) is str else None
-                if required is None:
-                    raise LogError(f"line {lineno}: not a known event record")
-                if not required <= event.keys():
-                    missing = ", ".join(sorted(required - event.keys()))
-                    raise LogError(f"line {lineno}: {etype} record lacks {missing}")
+                etype = _checked_type(lineno, event)
                 if number is not None:
                     raise LogError(f"line {lineno} ({etype}): {_float_path(event)} "
                                    f"must be an integer, got {number}")
@@ -339,6 +341,10 @@ class ReplayResult:
 
 _ABSENT = object()
 
+# What an actor with no action record plays (its record cannot match the log);
+# one shared value, as ``plans`` passes it to ``setdefault`` for every actor.
+_MISSING = PolicyDecision(REST)
+
 
 def _shown(value: Any) -> str:
     text = "absent" if value is _ABSENT else json.dumps(value)
@@ -353,7 +359,7 @@ class _Script:
         self.events = events
         self.at = 0                           # index of the record being read or checked
         self.proposals: dict[int, int] = {}   # proposer id -> index of its action record
-        self.parsed: dict[str, Any] = {}      # action text -> its (frozen) action
+        self.decisions: dict[tuple[str, bool], PolicyDecision] = {}  # see ``decision``
 
     def where(self, index: int | None = None) -> str:
         index = self.at if index is None else index
@@ -375,10 +381,10 @@ class _Script:
                               f"log, {_shown(produced)} on re-execution")
         self.at += 1
 
-    def plans(self, actors: list[int]) -> dict[int, Any]:
-        """This turn's plans, read from the policy_fault and action records
-        that follow its upkeep record: the action text, the fallback flag and
-        any fault text. A fault always comes with REST."""
+    def plans(self, actors: list[int]) -> dict[int, PolicyDecision]:
+        """This turn's decisions, read from the policy_fault and action
+        records that follow its upkeep record: a fault's text, or an action's
+        text and fallback flag."""
         start, plans = self.at, {}
         self.proposals = {}
         while self.events[self.at]["type"] in ("policy_fault", "action"):
@@ -387,25 +393,27 @@ class _Script:
             if record["type"] == "policy_fault":
                 if not isinstance(record["error"], str):
                     raise ReplayError(f"{self.where()}: error is not a string")
-                plans[agent_id] = (REST, True, record["error"])
+                plans[agent_id] = PolicyDecision(REST, parse_status="fallback",
+                                                 error=record["error"])
             elif agent_id not in plans:
-                if not isinstance(record["fallback"], bool):
-                    raise ReplayError(f"{self.where()}: fallback is not true or false")
-                plans[agent_id] = (self.action(record["action"]), record["fallback"], None)
+                plans[agent_id] = self.decision(record["action"], record["fallback"])
                 self.proposals[agent_id] = self.at
             self.at += 1
         self.at = start
         for agent_id in actors:
-            # a placeholder for a missing action record; its record cannot match
-            plans.setdefault(agent_id, (REST, False, None))
+            plans.setdefault(agent_id, _MISSING)
         return plans
 
-    def action(self, text: str) -> Any:
-        """``parse_action(text)``, parsed once per distinct text."""
-        action = self.parsed.get(text)
-        if action is None:
-            action = self.parsed[text] = parse_action(text)
-        return action
+    def decision(self, text: str, fallback: Any) -> PolicyDecision:
+        """The decision an action record logs, built once per distinct
+        (text, fallback); ValueError for a fallback on any action but REST."""
+        if not isinstance(fallback, bool):  # 1 would find (text, True)'s entry
+            raise ReplayError(f"{self.where()}: fallback is not true or false")
+        decision = self.decisions.get((text, fallback))
+        if decision is None:
+            decision = self.decisions[text, fallback] = PolicyDecision(
+                parse_action(text), parse_status="fallback" if fallback else "ok")
+        return decision
 
     def evaluate_proposal(self, chooser: AgentState, view: Any) -> bool:
         """A chooser's verdict is the proposer's logged REPRODUCE outcome."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .actions import (
@@ -22,6 +21,7 @@ from .actions import (
     DIRECTIONS,
     GATHER,
     Move,
+    PolicyDecision,
     REST,
     Reproduce,
     Trade,
@@ -40,22 +40,6 @@ from .core import (
 from .engine import ATTACK_TOKEN_COST, Observation
 from .gateway import GatewayConfig, GatewayError, batch_complete, complete
 from .mating import PROVIDER_TOKEN_COST
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """One agent's chosen action. ``parse_status`` is "fallback" when the
-    raw response had no parseable action, in which case the action is REST."""
-
-    action: Action
-    raw_response: str = ""
-    parse_status: str = "ok"
-
-    def __post_init__(self):
-        if self.parse_status not in ("ok", "fallback"):
-            raise ValueError(f"bad parse_status {self.parse_status!r}")
-        if self.parse_status == "fallback" and self.action != REST:
-            raise ValueError("fallback decisions must be REST")
 
 
 def available_actions(observation: Observation) -> tuple[str, ...]:
@@ -196,27 +180,31 @@ def parse_verdict(text: str) -> bool | None:
 # Policy interface
 
 
-def _decided(policy: "Policy", obs: Observation) -> PolicyDecision | BaseException:
-    """``policy.decide(obs)``, or the exception it raised, without its
-    traceback."""
+def _fault(exc: Exception) -> PolicyDecision:
+    """The decision of a policy that failed with ``exc``, as the log records it."""
+    return PolicyDecision(REST, parse_status="fallback", error=f"{type(exc).__name__}: {exc}")
+
+
+def _decided(policy: "Policy", obs: Observation) -> PolicyDecision:
+    """``policy.decide(obs)``, or the fault decision if it raised."""
     try:
         return policy.decide(obs)
     except Exception as exc:
-        return exc.with_traceback(None)
+        return _fault(exc)
 
 
 class Policy:
     """Decision maker for one or more agents.
 
-    ``decide_batch`` isolates failures per observation by returning the caught
-    exception in that slot, without its traceback, whose frames would hold
-    the list that holds it; the engine substitutes REST and logs the fault.
+    ``decide_batch`` gives one decision per observation, in order, and
+    isolates failures per observation: a ``decide`` that raises gives that
+    slot the fault decision (``_fault``), and the engine logs the fault.
     """
 
     def decide(self, obs: Observation) -> PolicyDecision:
         raise NotImplementedError
 
-    def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision | BaseException]:
+    def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision]:
         return [_decided(self, obs) for obs in observations]
 
     def evaluate_proposal(self, view: Any) -> bool:
@@ -247,7 +235,7 @@ class PolicyMap:
             self._cache[agent.id] = policy
         return policy
 
-    def decide_all(self, observations: dict[int, Observation]) -> dict[int, PolicyDecision | BaseException]:
+    def decide_all(self, observations: dict[int, Observation]) -> dict[int, PolicyDecision]:
         # one batch per policy instance, in the order of their first agents
         groups: dict[int, tuple[Policy, list[int]]] = {}
         for aid in sorted(observations):
@@ -258,7 +246,7 @@ class PolicyMap:
             else:
                 group[1].append(aid)
 
-        results: dict[int, PolicyDecision | BaseException] = {}
+        results: dict[int, PolicyDecision] = {}
         for policy, ids in groups.values():
             if len(ids) == 1 and type(policy).decide_batch is Policy.decide_batch:
                 # a group of one, as each scripted agent is
@@ -267,11 +255,11 @@ class PolicyMap:
             try:
                 batch = list(policy.decide_batch([observations[a] for a in ids]))
             except Exception as exc:
-                batch = [exc.with_traceback(None)] * len(ids)
+                batch = [_fault(exc)] * len(ids)
             if len(batch) != len(ids):
                 error = RuntimeError(
                     f"policy returned {len(batch)} decisions for {len(ids)} observations")
-                batch = [error] * len(ids)
+                batch = [_fault(error)] * len(ids)
             for aid, decision in zip(ids, batch):
                 results[aid] = decision
         return results
@@ -292,6 +280,11 @@ def derive_policy_seed(config_seed: int, agent_id: int) -> int:
     """Stable per-agent seed stream, independent of the game RNG."""
     digest = hashlib.sha256(f"{config_seed}:{agent_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+# Most scripted decisions are one of these, and every agent shares them.
+_REST = PolicyDecision(REST)
+_GATHER = PolicyDecision(GATHER)
 
 
 class ScriptedPolicy(Policy):
@@ -338,12 +331,18 @@ class ScriptedPolicy(Policy):
                 return GATHER if pos == obs.agent.pos else self._move_toward(obs.agent, pos)
         return None
 
+    def _decision(self, action: Action | None) -> PolicyDecision:
+        """``action`` as a decision, REST for None; GATHER and REST are shared."""
+        if action is None:
+            return _REST
+        return _GATHER if action is GATHER else PolicyDecision(action)
+
 
 class RestOnly(ScriptedPolicy):
     """Sits still forever; the survival-horizon oracle."""
 
     def decide(self, obs: Observation) -> PolicyDecision:
-        return PolicyDecision(REST)
+        return _REST
 
 
 class RandomWalker(ScriptedPolicy):
@@ -357,8 +356,7 @@ class GreedyGatherer(ScriptedPolicy):
     """Gathers underfoot, else heads for the nearest node believed non-empty."""
 
     def decide(self, obs: Observation) -> PolicyDecision:
-        action = self._gather_action(obs)
-        return PolicyDecision(action if action is not None else REST)
+        return self._decision(self._gather_action(obs))
 
 
 class Trader(ScriptedPolicy):
@@ -372,8 +370,7 @@ class Trader(ScriptedPolicy):
                          key=lambda n: (n.approx_food + n.approx_tokens, -n.id))
             return PolicyDecision(Trade(target.id, offer_food=2, offer_tokens=0,
                                         request_food=0, request_tokens=1))
-        action = self._gather_action(obs)
-        return PolicyDecision(action if action is not None else REST)
+        return self._decision(self._gather_action(obs))
 
 
 class Aggressor(ScriptedPolicy):
@@ -386,8 +383,7 @@ class Aggressor(ScriptedPolicy):
         if same_cell and me.tokens >= ATTACK_TOKEN_COST:
             target = min(same_cell, key=lambda n: (n.approx_food, n.id))
             return PolicyDecision(Attack(target.id))
-        action = self._gather_action(obs)
-        return PolicyDecision(action if action is not None else REST)
+        return self._decision(self._gather_action(obs))
 
 
 class Suitor(ScriptedPolicy):
@@ -414,11 +410,11 @@ class Suitor(ScriptedPolicy):
         if me.tokens < PROVIDER_TOKEN_COST:
             action = self._gather_action(obs, kind="token") or self._gather_action(obs)
             if action is not None:
-                return PolicyDecision(action)
+                return self._decision(action)
         if me.food < self.PROPOSE_FOOD_FLOOR:
             action = self._gather_action(obs, kind="food") or self._gather_action(obs)
             if action is not None:
-                return PolicyDecision(action)
+                return self._decision(action)
 
         if choosers:
             target = min(choosers, key=lambda n: (manhattan(me.pos, n.pos), n.id))
@@ -466,22 +462,22 @@ class LLMPolicy(Policy):
     """Prompts a chat-completion endpoint for every decision.
 
     Use one shared instance for all LLM agents in a run so their observations
-    batch into a single bounded-concurrency gateway call per turn. Gateway
-    failures surface as exceptions (the engine substitutes REST and logs a
-    policy_fault); replies that merely fail to parse become REST decisions
-    flagged ``parse_status="fallback"``.
+    batch into a single bounded-concurrency gateway call per turn. A gateway
+    failure becomes the fault decision (the engine logs a policy_fault);
+    replies that merely fail to parse become REST decisions flagged
+    ``parse_status="fallback"`` with no ``error``.
     """
 
     def __init__(self, gateway_config: GatewayConfig):
         self.gateway_config = gateway_config
 
-    def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision | BaseException]:
+    def decide_batch(self, observations: Sequence[Observation]) -> list[PolicyDecision]:
         prompts = [build_prompt(obs) for obs in observations]
         replies = batch_complete(prompts, self.gateway_config)
-        out: list[PolicyDecision | BaseException] = []
+        out: list[PolicyDecision] = []
         for reply in replies:
             if isinstance(reply, GatewayError):
-                out.append(reply)
+                out.append(_fault(reply))
                 continue
             try:
                 out.append(PolicyDecision(parse_action(reply), raw_response=reply))

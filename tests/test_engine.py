@@ -59,12 +59,13 @@ from gridarena.engine import (
 from gridarena.gamelog import Delta, GameLog, end_event, header_event
 from gridarena.gateway import GatewayConfig
 from gridarena.harness import PRESETS, build_policy_map
-from gridarena.policy import Policy, PolicyDecision, PolicyMap, make_scripted
+from gridarena.policy import LLMPolicy, Policy, PolicyDecision, PolicyMap, make_scripted
 
 from conftest import (
     KEY_ENV,
     flat_attrs,
     food_node,
+    gateway_config,
     make_agent,
     make_state,
     small_config,
@@ -810,6 +811,35 @@ class RaisingDecide(Policy):
 class RaisingBatch(Policy):
     def decide_batch(self, observations):
         raise RuntimeError("batch failed")
+
+
+class ShortBatch(Policy):
+    def decide_batch(self, observations):
+        return [PolicyDecision(REST)] * (len(observations) - 1)
+
+
+@pytest.mark.parametrize("path, error", [
+    ("decide-raises", "RuntimeError: decide failed"),
+    ("decide_batch-raises", "RuntimeError: batch failed"),
+    ("short-batch", "RuntimeError: policy returned 1 decisions for 2 observations"),
+    ("gateway-500", "GatewayError: HTTP 500"),
+])
+def test_each_failure_path_logs_its_fault_text(stub_gateway, path, error):
+    # the pinned log hashes are all of fault-free games: these texts are what
+    # keeps a fault log's bytes
+    stub_gateway.status_script = [500] * 4  # both agents, past one retry each
+    policy = {"decide-raises": RaisingDecide, "decide_batch-raises": RaisingBatch,
+              "short-batch": ShortBatch,
+              "gateway-500": lambda: LLMPolicy(gateway_config(
+                  stub_gateway, max_retries=1, max_concurrency=1))}[path]()
+    records = step(new_game(small_config(n_agents=2, upkeep=0)), PolicyMap(lambda agent: policy))
+    faults = [i for i, record in enumerate(records) if record["type"] == "policy_fault"]
+    assert sorted(records[i]["agent_id"] for i in faults) == [0, 1]
+    for i in faults:
+        assert records[i]["error"] == error
+        assert {key: records[i + 1][key] for key in ("type", "agent_id", "action", "fallback")} \
+            == {"type": "action", "agent_id": records[i]["agent_id"], "action": "REST",
+                "fallback": True}
 
 
 def preset_game(name, **overrides):

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,12 @@ def test_append_refuses_a_record_its_reader_refuses():
     with pytest.raises(LogError) as read:
         GameLog.from_text(log.to_text() + '{"type":"upkeep"}\n')
     assert str(read.value) == "line 2: upkeep record lacks deaths, delta, turn"
+    for record in ({"type": "mystery"}, {"type": []}, {"type": 1}):
+        with pytest.raises(LogError, match=r"^line 2: not a known event record$"):
+            log.append(record)
+        with pytest.raises(LogError) as read:
+            GameLog.from_text(log.to_text() + json.dumps(record) + "\n")
+        assert str(read.value) == "line 2: not a known event record"
     assert len(log) == 1 and log.to_text().count("\n") == 1  # nothing was added
 
 
@@ -673,6 +680,40 @@ def test_replay_rejects_rest_claimed_for_a_fault():
     index = first_index(records, lambda r: r["type"] == "action" and r["agent_id"] == 1)
     records[index]["fallback"] = False
     with pytest.raises(ReplayError, match=rf"line {index + 1} \(action\): fallback "):
+        replay(log_of(records))
+
+
+def preset_log(name, policies=None, **overrides):
+    config = replace(PRESETS[name].config, **overrides)
+    return run_game(new_game(config),
+                    build_policy_map(policies or PRESETS[name].policy_assignment, config))
+
+
+@pytest.mark.parametrize("name, policies, overrides", [
+    ("P1", None, {}),
+    ("V7", None, {"seed": 1}),
+    ("P2b", "scripted:trader", {"upkeep": 5}),
+], ids=["P1", "V7", "P2b-upkeep5-trader"])
+def test_replay_rejects_a_fallback_on_any_action_but_rest(name, policies, overrides):
+    # a fallback decision plays REST, so a fallback flag on another action is
+    # a decision no policy can make
+    records = records_of(preset_log(name, policies, **overrides))
+    candidates = [i for i, r in enumerate(records)
+                  if r["type"] == "action" and r["action"] != "REST" and not r["fallback"]]
+    for index in random.Random(22).sample(candidates, 20):
+        mutated = [dict(r) for r in records]
+        mutated[index]["fallback"] = True
+        with pytest.raises(ReplayError, match=rf"^line {index + 1} \(action\): "):
+            replay(log_of(mutated))
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="re-deriving decisions is ROADMAP item 4")
+def test_replay_rejects_a_fallback_flag_on_a_rest_no_policy_gave():
+    records = records_of(preset_log("P1", "scripted:rest"))
+    index = first_index(records, lambda r: r["type"] == "action" and r["action"] == "REST")
+    records[index]["fallback"] = True
+    with pytest.raises(ReplayError, match=rf"^line {index + 1} \(action\): fallback "):
         replay(log_of(records))
 
 

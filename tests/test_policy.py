@@ -260,8 +260,9 @@ def test_policy_map_isolates_per_agent_faults():
 
     policy_map = PolicyMap(lambda agent: Flaky())
     decisions = policy_map.decide_all(observations_for([1, 2, 3]))
-    assert isinstance(decisions[2], Exception)
-    assert decisions[1].action == REST and decisions[3].action == REST
+    assert decisions[2] == PolicyDecision(REST, parse_status="fallback",
+                                          error="ValueError: bad agent")
+    assert decisions[1] == decisions[3] == PolicyDecision(action=REST)
 
 
 def test_policy_map_asks_each_policy_once_in_the_order_of_its_first_agent():
@@ -290,7 +291,8 @@ def test_policy_map_asks_each_policy_once_in_the_order_of_its_first_agent():
     assert calls == [("shared", 0), ("shared", 2), ("alone", 1), ("batched", [3]),
                      ("raises", 4)]
     assert [decisions[i].action for i in range(4)] == [REST, REST, REST, GATHER]
-    assert isinstance(decisions[4], ValueError) and decisions[4].__traceback__ is None
+    assert decisions[4] == PolicyDecision(REST, parse_status="fallback",
+                                          error="ValueError: no decision")
 
 
 def test_policy_map_evaluate_proposal_fault_rejects():
@@ -494,8 +496,8 @@ def test_llm_policy_batch_isolates_gateway_errors(stub_gateway):
                                       max_concurrency=1))
     observations = [observation(make_agent(i, (0, 0))) for i in (0, 1)]
     first, second = policy.decide_batch(observations)
-    assert isinstance(first, Exception)
-    assert isinstance(second, Exception) or second.action == GATHER
+    assert first == PolicyDecision(REST, parse_status="fallback", error="GatewayError: HTTP 500")
+    assert second.error == first.error or second == PolicyDecision(GATHER, raw_response="GATHER")
 
 
 def test_llm_policy_evaluates_proposals(stub_gateway):
@@ -541,7 +543,8 @@ def test_llm_decide_against_a_refused_endpoint_leaves_no_cycle(monkeypatch):
         gc.disable()
         try:
             [result] = policy.decide_batch([observation(make_agent(0, (0, 0)))])
-            assert isinstance(result, GatewayError)
+            assert result.action == REST and result.parse_status == "fallback"
+            assert result.error.startswith("GatewayError: transport error: ")
             del result
             assert gc.collect() == 0
         finally:
