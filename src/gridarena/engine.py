@@ -5,19 +5,25 @@ One turn runs in a fixed order:
 
 1. upkeep: every living agent loses ``config.upkeep`` food (floor 0);
    agents at 0 food die now.
-2. observations: every surviving agent gets an Observation built from the
-   same post-upkeep snapshot. Per turn, ``step`` indexes that snapshot once
+2. observations: every surviving agent gets an Observation of the same
+   post-upkeep snapshot. Per turn, ``step`` indexes that snapshot once
    (``sight_index``): one immutable row per living agent, found by cell
    through a list with a slot per grid number, and one view of each node
-   with its stock. So one observation reads only the rows within the
-   observer's vision range and no live agent, and every cell that sees a
-   node shares that node's one view. Observers on one cell share what the
-   cell sees that turn. The index is dropped with the turn. Per game
+   with its stock. ``observe`` itself takes only the observer's own copy,
+   its recent actions and messages, the turn and the variant. ``nearby``,
+   ``nodes`` and ``node_order`` are worked out from the index the first
+   time a policy reads them, and kept: a policy that reads none of them (a
+   random walker) costs none of that work. The index reads no live agent or
+   node after it is made, so a view read after the turn resolves shows the
+   turn's snapshot. One observation's views read only the rows within the
+   observer's vision range, every cell that sees a node shares that node's
+   one view, and observers on one cell share what the cell sees that turn.
+   The index is dropped with the turn's last observation. Per game
    (``GameSight``), what never changes is worked out once: the all-hidden
-   node views up front, and, when an observer first stands on a cell, one
-   entry for that cell: the cells in its vision range, the nodes on them,
-   and its node order (nodes by Manhattan distance, which
-   ``Observation.node_order`` carries).
+   node views up front, and, the first time a view of an observer on a
+   cell is read, one entry for that cell: the cells in its vision range,
+   the nodes on them, and its node order (nodes by Manhattan distance,
+   which ``Observation.node_order`` carries).
 3. decisions: policies are consulted in batch; a failed policy's decision
    is REST, and a policy_fault record precedes its action record.
 4. resolution: queued actions resolve one at a time in a seeded-random
@@ -48,8 +54,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
 from . import mating as _mating
@@ -92,6 +98,12 @@ OUTCOME_CANCELLED_DEAD = "cancelled_dead"
 # Observations
 
 
+# A NamedTuple's or an Observation's ``__new__`` is a Python call; the tuple
+# constructor makes the same object at under half the cost, and a turn makes
+# an observation per agent and a view per agent in sight.
+_make = tuple.__new__
+
+
 class NearbyAgent(NamedTuple):
     """Another agent as seen by an observer: resources quantized by the
     observer's SOC, attributes only while revealed by a recent COMMUNICATE."""
@@ -113,28 +125,79 @@ class ObservedNode(NamedTuple):
     stock: int | None
 
 
-class Observation(NamedTuple):
-    """One agent's view of one turn. ``agent`` is the observer's own copy
-    and every other field holds immutable values only, none of them a live
-    agent or a per-game table, so a policy may keep an observation after its
-    turn resolves. ``node_order`` lists the indices into ``nodes`` by
-    (Manhattan distance from the observer, pos), nearest first, so a
-    scripted policy finds the nearest usable node without scanning them
-    all; prompts do not show it."""
+class Observation(tuple):
+    """One agent's view of one turn: an immutable value, read by field name.
 
-    agent: AgentState
-    nearby: tuple[NearbyAgent, ...]
-    nodes: tuple[ObservedNode, ...]
-    node_order: tuple[int, ...]
-    recent_actions: tuple[str, ...]
-    messages: tuple[tuple[int, str], ...]
-    turn: int
-    variant: str
+    ``observe`` takes ``agent`` (the observer's own copy), ``recent_actions``,
+    ``messages``, ``turn`` and ``variant`` when it is called. ``nearby``,
+    ``nodes`` and ``node_order`` are worked out from the turn's
+    ``SightIndex`` the first time they are read, and then kept; a policy
+    that never reads one never pays for it. The index holds no live agent or
+    node, so a policy may keep an observation, and read it, after its turn
+    resolves. ``Observation(agent=..., nearby=..., ...)`` builds one with
+    every field given, and observations are equal when their fields are.
+    ``node_order`` lists the indices into ``nodes`` by (Manhattan distance
+    from the observer, pos), nearest first, so a scripted policy finds the
+    nearest usable node without scanning them all; prompts do not show it.
 
+    It is a tuple underneath, but not of its fields: read them by name."""
 
-# A NamedTuple's generated ``__new__`` is a Python call; the tuple constructor
-# makes the same object at under half the cost, and ``observe`` makes many.
-_make = tuple.__new__
+    __slots__ = ()
+    _fields = ("agent", "nearby", "nodes", "node_order", "recent_actions", "messages",
+               "turn", "variant")
+
+    # Underneath: (agent, recent_actions, messages, turn, variant, views),
+    # where ``views`` is the SightIndex the other fields are read from, or
+    # the (nearby, nodes, node_order) given. One ``tuple.__new__`` makes it.
+    def __new__(cls, agent: AgentState, nearby: tuple[NearbyAgent, ...],
+                nodes: tuple[ObservedNode, ...], node_order: tuple[int, ...],
+                recent_actions: tuple[str, ...], messages: tuple[tuple[int, str], ...],
+                turn: int, variant: str) -> "Observation":
+        return _make(cls, (agent, recent_actions, messages, turn, variant,
+                           (nearby, nodes, node_order)))
+
+    agent = property(itemgetter(0))
+    recent_actions = property(itemgetter(1))
+    messages = property(itemgetter(2))
+    turn = property(itemgetter(3))
+    variant = property(itemgetter(4))
+
+    @property
+    def nearby(self) -> tuple[NearbyAgent, ...]:
+        views = self[5]
+        return views[0] if type(views) is tuple else views.nearby_of(self[0])
+
+    @property
+    def nodes(self) -> tuple[ObservedNode, ...]:
+        views = self[5]
+        return views[1] if type(views) is tuple else views.nodes_at(self[0].pos)
+
+    @property
+    def node_order(self) -> tuple[int, ...]:
+        views = self[5]
+        return views[2] if type(views) is tuple else views.node_order_at(self[0].pos)
+
+    def _values(self) -> tuple:
+        """The fields, in ``_fields`` order."""
+        return (self[0], self.nearby, self.nodes, self.node_order, *self[1:5])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Observation):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, Observation):
+            return NotImplemented
+        return self._values() != other._values()
+
+    def __getnewargs__(self) -> tuple:
+        # a copy or a pickle is rebuilt with every field given
+        return self._values()
+
+    def __repr__(self) -> str:
+        return "Observation(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())) + ")"
 
 
 def quantize(value: int, width: int) -> int:
@@ -148,11 +211,11 @@ Cell = tuple[int, int]
 class GameSight(NamedTuple):
     """What the cells of one game see. Nodes never move and the grid never
     changes, so it holds for the whole game; ``_game_sight`` makes it, with
-    ``hidden`` and ``by_pos``, on the game's first observation. ``cells``
-    gets a cell's entry (``_cell_sight``), keyed by its grid number
-    (x + y * width, the index ``GameConfig.cell_at`` takes), when an
-    observer first stands on the cell. An entry's tables are ``array``s of
-    ints, which hold no objects to free when the game's state goes, and an
+    ``hidden`` and ``by_pos``, on the game's first index. ``cells`` gets a
+    cell's entry (``_cell_sight``), keyed by its grid number (x + y * width,
+    the index ``GameConfig.cell_at`` takes), the first time a view of an
+    observer on that cell is read. An entry's tables are ``array``s of ints,
+    which hold no objects to free when the game's state goes, and an
     observation gets a tuple copy of a node order, never the array."""
 
     hidden: tuple[ObservedNode, ...]  # every node's terrain, stock unseen
@@ -171,22 +234,20 @@ def _game_sight(state: GameState) -> GameSight:
     return sight
 
 
-def _cell_sight(state: GameState, sight: GameSight, pos: Cell) -> tuple[array, array, array]:
-    """What an observer on ``pos`` sees all game: the grid numbers of the
-    in-bounds cells within ``VISION_RANGE`` (its reach), the indices of the
-    nodes on those cells, and the node indices by (Manhattan distance from
-    ``pos``, pos), a stable sort of ``sight.by_pos`` by distance."""
+def _cell_sight(sight: GameSight, width: int, height: int, pos: Cell
+                ) -> tuple[array, array, array]:
+    """What an observer on ``pos`` of a ``width`` x ``height`` grid sees all
+    game: the grid numbers of the in-bounds cells within ``VISION_RANGE``
+    (its reach), the indices of the nodes on those cells, and the node
+    indices by (Manhattan distance from ``pos``, pos), a stable sort of
+    ``sight.by_pos`` by distance."""
     x, y = pos
-    config = state.config
-    width = config.grid_width
-    cells = [(cx, cy)
-             for cx in range(max(0, x - VISION_RANGE), min(width, x + VISION_RANGE + 1))
-             for cy in range(max(0, y - VISION_RANGE),
-                             min(config.grid_height, y + VISION_RANGE + 1))]
-    node_index = state.node_index
-    distance = [abs(nx - x) + abs(ny - y) for (nx, ny), _, _ in sight.hidden]
-    return (array("I", [cx + cy * width for cx, cy in cells]),
-            array("I", [node_index[cell] for cell in cells if cell in node_index]),
+    xs = range(max(0, x - VISION_RANGE), min(width, x + VISION_RANGE + 1))
+    ys = range(max(0, y - VISION_RANGE), min(height, y + VISION_RANGE + 1))
+    nodes = [node_pos for node_pos, _, _ in sight.hidden]
+    distance = [abs(nx - x) + abs(ny - y) for nx, ny in nodes]
+    return (array("I", [cx + cy * width for cx in xs for cy in ys]),
+            array("I", [rank for rank, (nx, ny) in enumerate(nodes) if nx in xs and ny in ys]),
             array("I", sorted(sight.by_pos, key=distance.__getitem__)))
 
 
@@ -200,20 +261,87 @@ Row = tuple[int, Cell, int, int, str | None, int | None, Any]
 class SightIndex:
     """What every observation of one turn shares, read from one state.
 
-    ``rows`` holds one immutable row per living agent, so an observation
-    made from it never reads the live agents; ``cells``, a list with one
-    slot per grid number, holds the positions in ``rows`` of the agents on
-    each cell. ``views`` holds each node's view with its stock, made once per
-    turn, so every cell that sees a node shares one object. ``seen`` fills on
-    demand and never changes once filled: what an observer on a cell sees
-    (the rows in sight, in roster order, the node views and the node order).
-    Everything but ``sight`` is made for the turn and dropped with it."""
+    Made with the turn, in O(agents + nodes + cells): ``rows`` holds one
+    immutable row per living agent and ``views`` one view of each node with
+    its stock, so nothing here reads the live agents or nodes again;
+    ``cells``, a list with one slot per grid number, holds the positions in
+    ``rows`` of the agents on each cell. The rest is worked out the first
+    time an observation's view is read, kept, and never changed: the
+    ``seen_*`` tables, keyed by the observer's cell (or id, for ``nearby``),
+    and ``sight``'s entry for the cell. Observers on one cell share its rows
+    in sight, its ``nodes`` tuple (which holds this index's view of each
+    node in sight) and its ``node_order`` tuple. Everything but ``sight``
+    is dropped with the last observation that holds the index."""
 
     rows: list[Row]  # roster order
     cells: list[tuple[int, ...]]  # grid number -> positions in ``rows``
     views: list[ObservedNode]  # ``state.nodes`` order, stock seen
     sight: GameSight
-    seen: dict[Cell, tuple[list[Row], tuple[ObservedNode, ...], tuple[int, ...]]]
+    width: int
+    height: int
+    seen: dict[Cell, list[Row]] = field(default_factory=dict)  # rows in sight, roster order
+    seen_nodes: dict[Cell, tuple[ObservedNode, ...]] = field(default_factory=dict)
+    seen_orders: dict[Cell, tuple[int, ...]] = field(default_factory=dict)
+    seen_nearby: dict[int, tuple[NearbyAgent, ...]] = field(default_factory=dict)
+
+    def _entry(self, pos: Cell) -> tuple[array, array, array]:
+        """``sight``'s entry for ``pos``, made on first use."""
+        number = pos[0] + pos[1] * self.width
+        entry = self.sight.cells.get(number)
+        if entry is None:
+            entry = self.sight.cells[number] = _cell_sight(self.sight, self.width, self.height, pos)
+        return entry
+
+    def rows_at(self, pos: Cell) -> list[Row]:
+        """The rows within vision range of ``pos``, in roster order."""
+        seen = self.seen.get(pos)
+        if seen is None:
+            ranks: list[int] = []
+            cells = self.cells
+            for near in self._entry(pos)[0]:
+                found = cells[near]
+                if found:
+                    ranks += found
+            ranks.sort()
+            rows = self.rows
+            seen = self.seen[pos] = [rows[rank] for rank in ranks]
+        return seen
+
+    def nearby_of(self, agent: AgentState) -> tuple[NearbyAgent, ...]:
+        """``agent``'s ``nearby``: the others in sight, resources quantized."""
+        agent_id = agent.id
+        nearby = self.seen_nearby.get(agent_id)
+        if nearby is None:
+            width = max(1, 8 - agent.attrs.SOC)
+            nearby = self.seen_nearby[agent_id] = tuple([
+                _make(NearbyAgent, (other_id, pos, quantize(food, width),
+                                    quantize(tokens, width), role, vitality, attrs))
+                for other_id, pos, food, tokens, role, vitality, attrs in self.rows_at(agent.pos)
+                if other_id != agent_id])
+        return nearby
+
+    def nodes_at(self, pos: Cell) -> tuple[ObservedNode, ...]:
+        """Every node's terrain, with this turn's stock of those in sight."""
+        nodes = self.seen_nodes.get(pos)
+        if nodes is None:
+            in_sight = self._entry(pos)[1]
+            if in_sight:
+                shown = list(self.sight.hidden)
+                views = self.views
+                for rank in in_sight:
+                    shown[rank] = views[rank]
+                nodes = tuple(shown)
+            else:
+                nodes = self.sight.hidden
+            self.seen_nodes[pos] = nodes
+        return nodes
+
+    def node_order_at(self, pos: Cell) -> tuple[int, ...]:
+        """The node indices nearest ``pos`` first (``Observation.node_order``)."""
+        order = self.seen_orders.get(pos)
+        if order is None:
+            order = self.seen_orders[pos] = tuple(self._entry(pos)[2])
+        return order
 
 
 def sight_index(state: GameState) -> SightIndex:
@@ -232,36 +360,8 @@ def sight_index(state: GameState) -> SightIndex:
                      agent.vitality if sexual else None,
                      agent.attrs if agent.revealed(turn) else None))
     views = [_make(ObservedNode, (node.pos, node.kind, node.stock)) for node in state.nodes]
-    return SightIndex(rows=rows, cells=cells, views=views, sight=_game_sight(state), seen={})
-
-
-def _seen_from(state: GameState, index: SightIndex, pos: Cell
-               ) -> tuple[list[Row], tuple[ObservedNode, ...], tuple[int, ...]]:
-    """What an observer on ``pos`` sees this turn, for ``index.seen``."""
-    sight = index.sight
-    number = pos[0] + pos[1] * state.config.grid_width
-    entry = sight.cells.get(number)
-    if entry is None:
-        entry = sight.cells[number] = _cell_sight(state, sight, pos)
-    reach, in_sight, order = entry
-
-    ranks: list[int] = []
-    cells = index.cells
-    for near in reach:
-        found = cells[near]
-        if found:
-            ranks += found
-    ranks.sort()
-    rows = index.rows
-    seen_rows = [rows[rank] for rank in ranks]
-
-    if not in_sight:
-        return seen_rows, sight.hidden, tuple(order)
-    nodes = list(sight.hidden)
-    views = index.views
-    for rank in in_sight:
-        nodes[rank] = views[rank]
-    return seen_rows, tuple(nodes), tuple(order)
+    return SightIndex(rows=rows, cells=cells, views=views, sight=_game_sight(state),
+                      width=width, height=config.grid_height)
 
 
 def observe(state: GameState, agent_id: int, index: SightIndex | None = None) -> Observation:
@@ -274,41 +374,22 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
     the node indices nearest first (see ``Observation``).
 
     ``index`` must be ``sight_index`` of this same state, unchanged since;
-    ``step`` builds it once per turn, with one row per living agent and one
-    view per node, so an observation costs O(agents in vision range), plus
-    O(cells in vision range + nodes) for the first observer on its cell this
-    turn. Without it the call indexes the state itself, which is O(agents +
-    nodes + cells). Observers of one index on the same cell share one
-    ``nodes`` and one ``node_order`` tuple, and every ``nodes`` tuple of one
-    index holds the index's view of each node in sight. Per game,
-    ``GameSight`` keeps the all-hidden node views and, for each cell an
-    observer has stood on, one entry: the cells and the nodes in its vision
-    range and its node order.
+    ``step`` builds it once per turn. The call copies the observer, its
+    recent actions and its messages, and leaves the views to the index
+    (see ``SightIndex``): ``nearby`` costs O(agents in vision range) on its
+    first read, and a cell's ``nodes`` and ``node_order`` O(nodes) on the
+    first read by any observer on it that turn. Without ``index`` the call
+    indexes the state itself, which is O(agents + nodes + cells).
     """
     if index is None:
         index = sight_index(state)
-    agent = state.agents[agent_id]
-    width = max(1, 8 - agent.attrs.SOC)
-
-    seen = index.seen.get(agent.pos)
-    if seen is None:
-        seen = index.seen[agent.pos] = _seen_from(state, index, agent.pos)
-    rows, nodes, node_order = seen
-
-    nearby = tuple([
-        _make(NearbyAgent, (other_id, pos, quantize(food, width), quantize(tokens, width),
-                            role, vitality, attrs))
-        for other_id, pos, food, tokens, role, vitality, attrs in rows if other_id != agent_id])
-
     return _make(Observation, (
-        agent.snapshot(),
-        nearby,
-        nodes,
-        node_order,
+        state.agents[agent_id].snapshot(),
         tuple(state.recent_actions.get(agent_id, ())),
         tuple(state.inbox.get(agent_id, ())),
         state.turn,
         state.config.engine_variant,
+        index,
     ))
 
 

@@ -52,7 +52,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from .actions import REST, PolicyDecision, parse_action
+from .actions import REST, ActionParseError, PolicyDecision, parse_action
 from .core import (
     AgentState,
     ConfigError,
@@ -406,13 +406,22 @@ class _Script:
 
     def decision(self, text: str, fallback: Any) -> PolicyDecision:
         """The decision an action record logs, built once per distinct
-        (text, fallback); ValueError for a fallback on any action but REST."""
+        (text, fallback). A text that does not parse, or a fallback on any
+        action but REST, is a decision no policy makes: ReplayError."""
         if not isinstance(fallback, bool):  # 1 would find (text, True)'s entry
             raise ReplayError(f"{self.where()}: fallback is not true or false")
         decision = self.decisions.get((text, fallback))
         if decision is None:
-            decision = self.decisions[text, fallback] = PolicyDecision(
-                parse_action(text), parse_status="fallback" if fallback else "ok")
+            try:
+                action = parse_action(text)
+            except ActionParseError:
+                raise ReplayError(f"{self.where()}: action {text!r} does not parse") from None
+            try:
+                decision = PolicyDecision(action, parse_status="fallback" if fallback else "ok")
+            except ValueError:  # the one rule this can break: a fallback plays REST
+                raise ReplayError(f"{self.where()}: fallback is true on {text!r}, "
+                                  "but a fallback decision plays REST") from None
+            self.decisions[text, fallback] = decision
         return decision
 
     def evaluate_proposal(self, chooser: AgentState, view: Any) -> bool:

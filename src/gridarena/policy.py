@@ -14,7 +14,6 @@ import random
 from typing import Any, Sequence
 
 from .actions import (
-    Action,
     ActionParseError,
     Attack,
     Communicate,
@@ -185,6 +184,13 @@ def _fault(exc: Exception) -> PolicyDecision:
     return PolicyDecision(REST, parse_status="fallback", error=f"{type(exc).__name__}: {exc}")
 
 
+def _checked(decision: Any) -> PolicyDecision:
+    """``decision``, or the fault decision if a policy gave something else."""
+    if isinstance(decision, PolicyDecision):
+        return decision
+    return _fault(TypeError(f"policy returned {type(decision).__name__}, not a PolicyDecision"))
+
+
 def _decided(policy: "Policy", obs: Observation) -> PolicyDecision:
     """``policy.decide(obs)``, or the fault decision if it raised."""
     try:
@@ -222,6 +228,9 @@ class PolicyMap:
     Observations are batched per policy instance, preserving agent-id order.
     A batch of one for a policy that keeps ``Policy.decide_batch`` is asked
     through ``decide`` directly, which gives what that ``decide_batch`` would.
+    Whatever a policy gives that is not a ``PolicyDecision`` (``None``, say)
+    becomes the fault decision, so ``decide_all`` keeps the engine's protocol
+    for any policy.
     """
 
     def __init__(self, factory):
@@ -250,7 +259,7 @@ class PolicyMap:
         for policy, ids in groups.values():
             if len(ids) == 1 and type(policy).decide_batch is Policy.decide_batch:
                 # a group of one, as each scripted agent is
-                results[ids[0]] = _decided(policy, observations[ids[0]])
+                results[ids[0]] = _checked(_decided(policy, observations[ids[0]]))
                 continue
             try:
                 batch = list(policy.decide_batch([observations[a] for a in ids]))
@@ -261,7 +270,7 @@ class PolicyMap:
                     f"policy returned {len(batch)} decisions for {len(ids)} observations")
                 batch = [_fault(error)] * len(ids)
             for aid, decision in zip(ids, batch):
-                results[aid] = decision
+                results[aid] = _checked(decision)
         return results
 
     def evaluate_proposal(self, chooser: AgentState, view: Any) -> bool:
@@ -282,9 +291,13 @@ def derive_policy_seed(config_seed: int, agent_id: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# Most scripted decisions are one of these, and every agent shares them.
+# Scripted decisions are shared by every agent: REST, GATHER, and one MOVE per
+# step tuple (4 of one step and 16 of two), so a scripted MOVE builds nothing.
 _REST = PolicyDecision(REST)
 _GATHER = PolicyDecision(GATHER)
+_MOVES = {steps: PolicyDecision(Move(steps)) for steps in
+          [(a,) for a in DIRECTIONS] + [(a, b) for a in DIRECTIONS for b in DIRECTIONS]}
+_ONE_STEP = tuple(_MOVES[(name,)] for name in "NSEW")  # drawn as ``rng.choice("NSEW")`` is
 
 
 class ScriptedPolicy(Policy):
@@ -306,7 +319,7 @@ class ScriptedPolicy(Policy):
                 best_name, best_dist = name, dist
         return best_name
 
-    def _move_toward(self, agent: AgentState, to: tuple[int, int]) -> Move | None:
+    def _move_toward(self, agent: AgentState, to: tuple[int, int]) -> PolicyDecision | None:
         """Greedy steps toward ``to``, as many as one MOVE of ``agent`` takes."""
         steps: list[str] = []
         pos = agent.pos
@@ -317,9 +330,9 @@ class ScriptedPolicy(Policy):
             steps.append(step)
             dx, dy = DIRECTIONS[step]
             pos = (pos[0] + dx, pos[1] + dy)
-        return Move(tuple(steps)) if steps else None
+        return _MOVES[tuple(steps)] if steps else None
 
-    def _gather_action(self, obs: Observation, kind: str | None = None) -> Action | None:
+    def _gather(self, obs: Observation, kind: str | None = None) -> PolicyDecision | None:
         """GATHER on a usable node underfoot, else MOVE toward the nearest
         candidate node by (Manhattan distance, pos), else None. Unknown stock
         counts as a candidate. ``obs.node_order`` is that order, so the walk
@@ -328,14 +341,8 @@ class ScriptedPolicy(Policy):
         for rank in obs.node_order:
             pos, node_kind, stock = nodes[rank]
             if (stock is None or stock > 0) and (kind is None or node_kind == kind):
-                return GATHER if pos == obs.agent.pos else self._move_toward(obs.agent, pos)
+                return _GATHER if pos == obs.agent.pos else self._move_toward(obs.agent, pos)
         return None
-
-    def _decision(self, action: Action | None) -> PolicyDecision:
-        """``action`` as a decision, REST for None; GATHER and REST are shared."""
-        if action is None:
-            return _REST
-        return _GATHER if action is GATHER else PolicyDecision(action)
 
 
 class RestOnly(ScriptedPolicy):
@@ -349,14 +356,14 @@ class RandomWalker(ScriptedPolicy):
     """One seeded-random step per turn."""
 
     def decide(self, obs: Observation) -> PolicyDecision:
-        return PolicyDecision(Move((self.rng.choice("NSEW"),)))
+        return self.rng.choice(_ONE_STEP)
 
 
 class GreedyGatherer(ScriptedPolicy):
     """Gathers underfoot, else heads for the nearest node believed non-empty."""
 
     def decide(self, obs: Observation) -> PolicyDecision:
-        return self._decision(self._gather_action(obs))
+        return self._gather(obs) or _REST
 
 
 class Trader(ScriptedPolicy):
@@ -365,12 +372,12 @@ class Trader(ScriptedPolicy):
 
     def decide(self, obs: Observation) -> PolicyDecision:
         me = obs.agent
-        if obs.nearby and me.food > 10 * self.config.upkeep:
+        if me.food > 10 * self.config.upkeep and obs.nearby:
             target = max(obs.nearby,
                          key=lambda n: (n.approx_food + n.approx_tokens, -n.id))
             return PolicyDecision(Trade(target.id, offer_food=2, offer_tokens=0,
                                         request_food=0, request_tokens=1))
-        return self._decision(self._gather_action(obs))
+        return self._gather(obs) or _REST
 
 
 class Aggressor(ScriptedPolicy):
@@ -383,7 +390,7 @@ class Aggressor(ScriptedPolicy):
         if same_cell and me.tokens >= ATTACK_TOKEN_COST:
             target = min(same_cell, key=lambda n: (n.approx_food, n.id))
             return PolicyDecision(Attack(target.id))
-        return self._decision(self._gather_action(obs))
+        return self._gather(obs) or _REST
 
 
 class Suitor(ScriptedPolicy):
@@ -408,20 +415,20 @@ class Suitor(ScriptedPolicy):
             return PolicyDecision(Communicate(message))
 
         if me.tokens < PROVIDER_TOKEN_COST:
-            action = self._gather_action(obs, kind="token") or self._gather_action(obs)
-            if action is not None:
-                return self._decision(action)
+            decision = self._gather(obs, kind="token") or self._gather(obs)
+            if decision is not None:
+                return decision
         if me.food < self.PROPOSE_FOOD_FLOOR:
-            action = self._gather_action(obs, kind="food") or self._gather_action(obs)
-            if action is not None:
-                return self._decision(action)
+            decision = self._gather(obs, kind="food") or self._gather(obs)
+            if decision is not None:
+                return decision
 
         if choosers:
             target = min(choosers, key=lambda n: (manhattan(me.pos, n.pos), n.id))
             move = self._move_toward(me, target.pos)
             if move is not None:
-                return PolicyDecision(move)
-        return PolicyDecision(Move((self.rng.choice("NSEW"),)))
+                return move
+        return self.rng.choice(_ONE_STEP)
 
 
 class PickyChooser(GreedyGatherer):

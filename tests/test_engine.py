@@ -56,7 +56,7 @@ from gridarena.engine import (
     sweep_deaths,
     trade_accept_probability,
 )
-from gridarena.gamelog import Delta, GameLog, end_event, header_event
+from gridarena.gamelog import Delta, GameLog, end_event, header_event, replay
 from gridarena.gateway import GatewayConfig
 from gridarena.harness import PRESETS, build_policy_map
 from gridarena.policy import LLMPolicy, Policy, PolicyDecision, PolicyMap, make_scripted
@@ -291,11 +291,15 @@ def test_step_builds_one_sight_index_per_turn(monkeypatch):
     ObservedNode(pos=(1, 1), kind="food", stock=None),
     Observation(agent=make_agent(0, (0, 0)), nearby=(), nodes=(), node_order=(),
                 recent_actions=(), messages=(), turn=0, variant=VARIANTS[0]),
+    observe(make_state([make_agent(0, (0, 0)), make_agent(1, (1, 0))],
+                       nodes=[food_node((1, 1))]), 0),
 ])
 def test_observation_types_are_immutable(value):
     for name in type(value)._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+    # a copy is a value equal to the original, whichever kind it is
+    assert copy.deepcopy(value) == value
 
 
 @given(sight_worlds())
@@ -321,20 +325,26 @@ def test_new_game_leaves_the_sight_map_to_the_first_observation():
 
 
 def test_each_cell_an_observer_stood_on_gets_one_sight_entry(monkeypatch):
-    built, stood = [], set()
+    # an entry is made when a view of an observer on the cell is first read,
+    # so walkers, which read none, leave cells stood on without one
+    built, stood, read = [], set(), set()
     cell_sight, observe_one = engine._cell_sight, engine.observe
-    monkeypatch.setattr(engine, "_cell_sight",
-                        lambda state, sight, pos: built.append(pos) or cell_sight(state, sight, pos))
+    monkeypatch.setattr(engine, "_cell_sight", lambda sight, width, height, pos: (
+        built.append(pos) or cell_sight(sight, width, height, pos)))
     monkeypatch.setattr(engine, "observe", lambda state, agent_id, index=None: (
         stood.add(state.agents[agent_id].pos) or observe_one(state, agent_id, index)))
+    for name in ("nearby", "nodes", "node_order"):
+        view = getattr(Observation, name)
+        monkeypatch.setattr(Observation, name, property(
+            lambda obs, view=view: read.add(obs.agent.pos) or view.fget(obs)))
     config, policies = crowd_shaped_game()
     state = new_game(config)
     run_game(state, policies)
     assert built and len(built) == len(set(built))  # one entry per cell per game
-    assert set(built) == stood
+    assert set(built) == read < stood
     width = config.grid_width
-    assert set(state.sight.cells) == {x + y * width for x, y in stood}
-    for x, y in stood:
+    assert set(state.sight.cells) == {x + y * width for x, y in read}
+    for x, y in read:
         reach, in_sight, _ = state.sight.cells[x + y * width]
         assert sorted(reach) == sorted(cx + cy * width for cx in range(width)
                                        for cy in range(config.grid_height)
@@ -433,6 +443,70 @@ def test_kept_observations_outlive_their_turn(game):
                 now = observe(state, agent_id)
                 moved += (obs.nearby, obs.nodes) != (now.nearby, now.nodes)
     assert moved > 0  # the live state did change under the kept observations
+
+
+VIEWS = ("nearby", "nodes", "node_order")
+
+
+def read_late(data, observations, before):
+    """Read a drawn subset of the observations' views, in a drawn order,
+    each equal to the roster scan of ``before``, the state they were made
+    from."""
+    pairs = [(agent_id, name) for agent_id in observations for name in VIEWS]
+    for agent_id, name in data.draw(st.lists(st.sampled_from(pairs), unique=True)):
+        assert getattr(observations[agent_id], name) == \
+            getattr(scan_observe(before, agent_id), name), (agent_id, name)
+
+
+@given(sight_worlds(), st.sampled_from(["walker", "greedy", "aggressor"]),
+       st.integers(0, 3), st.data())
+def test_views_read_after_later_turns_equal_the_scan_of_their_turn(world, name, later, data):
+    # views are worked out on first read, from an index that reads no live
+    # state: turns resolved in between change nothing a late read sees
+    state = build_world(world)
+    before, index = copy.deepcopy(state), sight_index(state)
+    observations = {agent_id: observe(state, agent_id, index) for agent_id in state.agents}
+    policies = PolicyMap(lambda agent: make_scripted(name, agent.id, state.config))
+    for _ in range(later):
+        step(state, policies)
+    read_late(data, observations, before)
+
+
+class FreshIndexKeeper:
+    """Wraps a policy map and keeps, each turn, observations of every actor
+    made from an index of their own, whose views nothing has read, with a
+    copy of the state taken before the turn resolves."""
+
+    def __init__(self, policies, state):
+        self.policies, self.state, self.kept = policies, state, None
+
+    def decide_all(self, observations):
+        index = sight_index(self.state)
+        self.kept = ({agent_id: observe(self.state, agent_id, index) for agent_id in observations},
+                     copy.deepcopy(self.state))
+        return self.policies.decide_all(observations)
+
+    def evaluate_proposal(self, chooser, view):
+        return self.policies.evaluate_proposal(chooser, view)
+
+
+# a twentieth of the profile's examples: 5 in the suite, 100 when searched deep
+@settings(max_examples=max(1, settings().max_examples // 20), deadline=None)
+@given(st.sampled_from(["crowd-shaped", "V7"]), st.data())
+def test_views_read_turns_later_in_a_game_equal_the_scan_of_their_turn(game, data):
+    config, policies = (crowd_shaped_game() if game == "crowd-shaped"
+                        else preset_game("V7", seed=3))
+    state = new_game(config)
+    keeper = FreshIndexKeeper(policies, state)
+    pending = []  # (turn to read on, observations, state before their turn)
+    for turn in range(10):
+        step(state, keeper)
+        pending.append((turn + data.draw(st.integers(0, 4)), *keeper.kept))
+        for _, observations, before in [entry for entry in pending if entry[0] <= turn]:
+            read_late(data, observations, before)
+        pending = [entry for entry in pending if entry[0] > turn]
+    for _, observations, before in pending:
+        read_late(data, observations, before)
 
 
 def play_alone(config, assignment):
@@ -840,6 +914,33 @@ def test_each_failure_path_logs_its_fault_text(stub_gateway, path, error):
         assert {key: records[i + 1][key] for key in ("type", "agent_id", "action", "fallback")} \
             == {"type": "action", "agent_id": records[i]["agent_id"], "action": "REST",
                 "fallback": True}
+
+
+class NoDecision(Policy):
+    def decide(self, obs):
+        return None
+
+
+class NoDecisions(Policy):
+    def decide_batch(self, observations):
+        return [None] * len(observations)
+
+
+@pytest.mark.parametrize("path", ["decide-alone", "decide-in-a-batch", "decide_batch"])
+def test_a_policy_that_gives_no_decision_is_a_logged_fault(path):
+    if path == "decide-alone":  # a policy per agent, each asked through decide
+        policies = PolicyMap(lambda agent: NoDecision())
+    else:  # one policy for both agents, asked through decide_batch
+        shared = NoDecision() if path == "decide-in-a-batch" else NoDecisions()
+        policies = PolicyMap(lambda agent: shared)
+    config = small_config(n_agents=2, max_turns=4)
+    log = run_game(new_game(config), policies)
+    assert log.end["reason"] == "max_turns"
+    faults = [e for e in log if e["type"] == "policy_fault"]
+    assert len(faults) == 2 * config.max_turns
+    assert {e["error"] for e in faults} == {
+        "TypeError: policy returned NoneType, not a PolicyDecision"}
+    assert replay(GameLog.from_text(log.to_text())).events == len(log.events)
 
 
 def preset_game(name, **overrides):

@@ -717,6 +717,25 @@ def test_replay_rejects_a_fallback_flag_on_a_rest_no_policy_gave():
         replay(log_of(records))
 
 
+def test_replay_names_a_fallback_flag_on_an_action_but_rest():
+    records = records_of(scripted_log())
+    index = first_index(records, lambda r: r["type"] == "action" and r["action"] == "GATHER")
+    records[index]["fallback"] = True
+    message = (f"line {index + 1} (action): fallback is true on 'GATHER', "
+               "but a fallback decision plays REST")
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay(log_of(records))
+
+
+def test_replay_names_action_text_that_does_not_parse():
+    records = records_of(scripted_log())
+    index = first_index(records, lambda r: r["type"] == "action")
+    records[index]["action"] = "DANCE 3"
+    message = f"line {index + 1} (action): action 'DANCE 3' does not parse"
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay(log_of(records))
+
+
 def test_replay_rejects_fallback_that_is_not_a_bool():
     records = records_of(scripted_log())
     index = first_index(records, lambda r: r["type"] == "action")

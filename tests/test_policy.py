@@ -335,6 +335,24 @@ def test_walker_moves_one_step():
     assert isinstance(action, Move) and len(action.steps) == 1
 
 
+@pytest.mark.parametrize("name", ["walker", "greedy", "suitor"])
+def test_scripted_moves_are_shared_decisions(name):
+    # one decision per step tuple, whichever agent or turn makes it
+    config = small_config(grid_width=9, grid_height=9, n_food_nodes=4, n_token_nodes=2)
+    moves = {}
+    for agent_id, pos in enumerate([(0, 0), (8, 8), (4, 4), (0, 8), (8, 0)]):
+        policy = make_scripted(name, agent_id, config)
+        for speed in (3, 6):  # one step or two per MOVE
+            me = make_agent(agent_id, pos, attrs=Attributes(STR=3, SPD=speed, INT=3, SOC=3,
+                                                            END=3, CHA=3))
+            for _ in range(10):
+                decision = policy.decide(observation(me, nodes=[
+                    ObservedNode(pos=(4, 1), kind="food", stock=None)]))
+                if isinstance(decision.action, Move):
+                    assert moves.setdefault(decision.action.steps, decision) is decision
+    assert moves and len(moves) <= 20
+
+
 def test_greedy_gathers_on_node_else_approaches():
     me = make_agent(0, (2, 2))
     on_node = observation(me, nodes=[ObservedNode(pos=(2, 2), kind="food", stock=4)])
@@ -356,9 +374,9 @@ def test_greedy_skips_empty_for_stocked_node():
     assert isinstance(action, Move) and action.steps[0] == "E"
 
 
-def two_pass_gather_action(policy, obs, kind=None):
-    """Reference for ``_gather_action``: find the node underfoot, then take
-    the nearest usable candidate elsewhere by (Manhattan distance, pos)."""
+def two_pass_gather(policy, obs, kind=None):
+    """Reference for ``_gather``: find the node underfoot, then take the
+    nearest usable candidate elsewhere by (Manhattan distance, pos)."""
     me = obs.agent
 
     def usable(node):
@@ -368,7 +386,7 @@ def two_pass_gather_action(policy, obs, kind=None):
 
     here = next((n for n in obs.nodes if n.pos == me.pos), None)
     if here is not None and usable(here):
-        return GATHER
+        return PolicyDecision(GATHER)
     candidates = [n for n in obs.nodes if n.pos != me.pos and usable(n)]
     if not candidates:
         return None
@@ -398,7 +416,7 @@ def gather_cases(draw):
 def test_gather_action_equals_the_two_pass_scan(case):
     obs, kind = case
     policy = make_scripted("greedy", 0, small_config(grid_width=7, grid_height=7))
-    assert policy._gather_action(obs, kind) == two_pass_gather_action(policy, obs, kind)
+    assert policy._gather(obs, kind) == two_pass_gather(policy, obs, kind)
 
 
 def test_aggressor_attacks_poorest_cellmate():
