@@ -86,12 +86,24 @@ def collector_paused() -> Iterator[None]:
     For work that builds trees of containers and no reference cycles (a
     game's state and records, a log's decoded lines): a collection during it
     frees nothing and only re-walks what was built, and reference counting
-    still frees what the work drops."""
+    still frees what the work drops.
+
+    On leaving the block, every object the collector tracks is moved to its
+    oldest generation (``gc.freeze`` then ``gc.unfreeze``, each a list
+    splice), so what the block built is never walked by a young collection;
+    a full collection still visits it, and frees any cycle in it. This is
+    skipped when anything is already frozen (a host that froze its objects
+    before forking, or an interpreter that starts with some frozen), which
+    are then left frozen, and the block's objects stay young; counting the
+    frozen objects (``gc.get_freeze_count``) walks them."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
         if was_enabled:
             gc.enable()
 

@@ -45,9 +45,11 @@ The engine is policy-agnostic: ``policies`` is any object providing
         -> dict[int, PolicyDecision]
     evaluate_proposal(chooser: AgentState, view: ProposalView) -> bool
 
-where ``decide_all`` gives one ``actions.PolicyDecision`` per observation,
-and no exception: a failed policy's decision is a REST fallback whose
-``error`` the engine logs. ``policy.PolicyMap`` implements this protocol.
+where ``decide_all`` gives one ``actions.PolicyDecision`` per observation:
+a failed policy's decision is a REST fallback whose ``error`` the engine
+logs. The one exception it passes on is ``ViewError``, an engine fault in
+working out a view, which stops the game. ``policy.PolicyMap`` implements
+this protocol.
 """
 
 from __future__ import annotations
@@ -102,6 +104,18 @@ OUTCOME_CANCELLED_DEAD = "cancelled_dead"
 # constructor makes the same object at under half the cost, and a turn makes
 # an observation per agent and a view per agent in sight.
 _make = tuple.__new__
+
+
+class ViewError(RuntimeError):
+    """The turn's ``SightIndex`` failed to work out an observation's view.
+
+    Raised from the index's exception when a policy reads ``nearby``,
+    ``nodes`` or ``node_order``. Unlike the policy's own exceptions it is
+    not turned into a fault decision: it stops the game."""
+
+
+def _view_error(obs: "Observation", name: str, exc: Exception) -> ViewError:
+    return ViewError(f"agent {obs[0].id}'s {name} view: {type(exc).__name__}: {exc}")
 
 
 class NearbyAgent(NamedTuple):
@@ -165,17 +179,26 @@ class Observation(tuple):
     @property
     def nearby(self) -> tuple[NearbyAgent, ...]:
         views = self[5]
-        return views[0] if type(views) is tuple else views.nearby_of(self[0])
+        try:
+            return views[0] if type(views) is tuple else views.nearby_of(self[0])
+        except Exception as exc:
+            raise _view_error(self, "nearby", exc) from exc
 
     @property
     def nodes(self) -> tuple[ObservedNode, ...]:
         views = self[5]
-        return views[1] if type(views) is tuple else views.nodes_at(self[0].pos)
+        try:
+            return views[1] if type(views) is tuple else views.nodes_at(self[0].pos)
+        except Exception as exc:
+            raise _view_error(self, "nodes", exc) from exc
 
     @property
     def node_order(self) -> tuple[int, ...]:
         views = self[5]
-        return views[2] if type(views) is tuple else views.node_order_at(self[0].pos)
+        try:
+            return views[2] if type(views) is tuple else views.node_order_at(self[0].pos)
+        except Exception as exc:
+            raise _view_error(self, "node_order", exc) from exc
 
     def _values(self) -> tuple:
         """The fields, in ``_fields`` order."""
@@ -634,9 +657,12 @@ def run_game(state: GameState, policies: Any) -> GameLog:
 
     Python's cyclic garbage collector is paused, process-wide, while the
     game plays, and left on or off afterwards as it was found, on error too.
+    Unless something is already frozen, the game's state and log then sit
+    in the collector's oldest generation, which only a full collection walks
+    (see ``core.collector_paused``).
     """
     # A game's records and state hold no reference cycles, so a collection
-    # during the game would only re-walk the growing log.
+    # during the game, or a young one after it, would only re-walk the log.
     with collector_paused():
         log = GameLog()
         log.append(header_event(state))

@@ -24,11 +24,13 @@ A delta is a list of atomic ops:
     ["spawn", agent_snapshot]
 
 ``GameLog.from_text`` reads a log line by line, with the cyclic garbage
-collector paused (the records are trees). Each line is decoded by one shared
-decoder's ``scan_once``. A line the scan does not read to its end is
-stripped of any Unicode whitespace (``str.strip``), skipped if blank, and
-otherwise decoded once more by ``_decode``. Every decoded line then passes
-one record check; LogError names the line and its first problem:
+collector paused (the records are trees); unless something is already frozen,
+the decoded records then go straight to the collector's oldest generation, so
+no young collection walks them (``core.collector_paused``). Each line is
+decoded by one shared decoder's ``scan_once``. A line the scan does not read
+to its end is stripped of any Unicode whitespace (``str.strip``), skipped if
+blank, and otherwise decoded once more by ``_decode``. Every decoded line
+then passes one record check; LogError names the line and its first problem:
 
     invalid JSON (...)          the decoder's reason
     unreadable number (...)     an integer longer than sys.get_int_max_str_digits()

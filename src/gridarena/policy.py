@@ -36,7 +36,7 @@ from .core import (
     manhattan,
     vitality_band,
 )
-from .engine import ATTACK_TOKEN_COST, Observation
+from .engine import ATTACK_TOKEN_COST, Observation, ViewError
 from .gateway import GatewayConfig, GatewayError, batch_complete, complete
 from .mating import PROVIDER_TOKEN_COST
 
@@ -192,9 +192,12 @@ def _checked(decision: Any) -> PolicyDecision:
 
 
 def _decided(policy: "Policy", obs: Observation) -> PolicyDecision:
-    """``policy.decide(obs)``, or the fault decision if it raised."""
+    """``policy.decide(obs)``, or the fault decision if it raised (an
+    engine fault in the observation's views, ``ViewError``, is re-raised)."""
     try:
         return policy.decide(obs)
+    except ViewError:
+        raise
     except Exception as exc:
         return _fault(exc)
 
@@ -204,7 +207,8 @@ class Policy:
 
     ``decide_batch`` gives one decision per observation, in order, and
     isolates failures per observation: a ``decide`` that raises gives that
-    slot the fault decision (``_fault``), and the engine logs the fault.
+    slot the fault decision (``_fault``), and the engine logs the fault. A
+    ``ViewError`` (the engine failed to work out a view) is passed on.
     """
 
     def decide(self, obs: Observation) -> PolicyDecision:
@@ -263,6 +267,8 @@ class PolicyMap:
                 continue
             try:
                 batch = list(policy.decide_batch([observations[a] for a in ids]))
+            except ViewError:
+                raise
             except Exception as exc:
                 batch = [_fault(exc)] * len(ids)
             if len(batch) != len(ids):

@@ -3,6 +3,7 @@ micro-game builders used across the suite."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import threading
@@ -253,6 +254,42 @@ class ScriptedSequence(ScriptedPolicy):
         action = self.sequence[self._cursor]
         self._cursor += 1
         return PolicyDecision(action)
+
+
+# --------------------------------------------------------------------------
+# The collector's generations after a pause
+
+
+# an interpreter that starts with frozen objects (CPython 3.12.1 does) never
+# takes the promotion path; ``frozen_caller`` tests the other one
+promotes = pytest.mark.skipif(
+    gc.get_freeze_count() > 0,
+    reason="the interpreter started with frozen objects, so collector_paused "
+           "leaves what a pause builds in the young generations")
+
+
+def young(obj) -> bool:
+    """Whether ``obj`` is in the collector's first or second generation."""
+    assert gc.is_tracked(obj)
+    return any(o is obj for generation in (0, 1) for o in gc.get_objects(generation))
+
+
+@pytest.fixture
+def frozen_caller():
+    """Objects frozen before the test, as a host that forks freezes them
+    (an interpreter that starts with some frozen is one already). The
+    collector stays disabled through the test, so no collection moves a
+    block's objects before the test finds them."""
+    thawed = not gc.get_freeze_count()
+    if thawed:
+        gc.freeze()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        if thawed:
+            gc.unfreeze()
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from gridarena.core import (
     manhattan,
     new_game,
 )
+from gridarena.cli import main
 from gridarena.engine import (
     GameSight,
     NearbyAgent,
@@ -68,8 +69,10 @@ from conftest import (
     gateway_config,
     make_agent,
     make_state,
+    promotes,
     small_config,
     token_node,
+    young,
 )
 
 
@@ -875,6 +878,93 @@ def test_run_game_leaves_a_disabled_collector_disabled():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+@promotes
+def test_run_game_leaves_its_log_in_the_oldest_generation():
+    log = run_game(new_game(small_config(n_agents=2, max_turns=3)), plan_map({}))
+    assert not young(log.events[-1])
+
+
+def test_run_game_leaves_a_callers_frozen_objects_alone(frozen_caller):
+    state, policies = new_game(small_config(n_agents=2, max_turns=3)), plan_map({})
+    frozen = gc.get_freeze_count()
+    log = run_game(state, policies)
+    assert gc.get_freeze_count() == frozen
+    assert young(log.events[-1])
+
+
+class Cyclic:
+    def __init__(self):
+        self.me = self
+
+
+class CycleMaker(Policy):
+    def __init__(self, refs):
+        self.refs = refs
+
+    def decide(self, obs):
+        self.refs.append(weakref.ref(Cyclic()))
+        return PolicyDecision(REST)
+
+
+def test_cycles_a_policy_makes_are_freed_by_a_full_collection():
+    refs = []
+    run_game(new_game(small_config(n_agents=2, max_turns=3)),
+             PolicyMap(lambda agent: CycleMaker(refs)))
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+# --------------------------------------------------------------------------
+# A fault in working out a view stops the game
+
+
+class ReadsView(Policy):
+    def __init__(self, view):
+        self.view = view
+
+    def decide(self, obs):
+        getattr(obs, self.view)
+        return PolicyDecision(REST)
+
+
+class BatchReadsView(ReadsView):
+    def decide_batch(self, observations):
+        for obs in observations:
+            getattr(obs, self.view)
+        return [PolicyDecision(REST)] * len(observations)
+
+
+def broken_view(index, key):
+    raise IndexError("stale row")
+
+
+VIEW_METHODS = {"nearby": "nearby_of", "nodes": "nodes_at", "node_order": "node_order_at"}
+
+
+@pytest.mark.parametrize("view", VIEW_METHODS)
+@pytest.mark.parametrize("path", ["decide-alone", "decide-in-a-batch", "decide_batch"])
+def test_a_view_fault_stops_the_game(monkeypatch, path, view):
+    monkeypatch.setattr(engine.SightIndex, VIEW_METHODS[view], broken_view)
+    if path == "decide-alone":  # a policy per agent, each asked through decide
+        policies = PolicyMap(lambda agent: ReadsView(view))
+    else:  # one policy for both agents, asked through decide_batch
+        shared = (ReadsView if path == "decide-in-a-batch" else BatchReadsView)(view)
+        policies = PolicyMap(lambda agent: shared)
+    with pytest.raises(engine.ViewError,
+                       match=rf"^agent 0's {view} view: IndexError: stale row$") as raised:
+        run_game(new_game(small_config(n_agents=2)), policies)
+    assert isinstance(raised.value.__cause__, IndexError)
+
+
+def test_a_view_fault_is_a_runtime_fault_of_arena_run(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(engine.SightIndex, "nearby_of", broken_view)
+    code = main(["run", "--preset", "P1", "--policies", "scripted:aggressor",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert "runtime fault: ViewError: agent 0's nearby view: IndexError: stale row" \
+        in capsys.readouterr().err
 
 
 class RaisingDecide(Policy):

@@ -28,7 +28,7 @@ from gridarena.harness import PRESETS, analyze, build_policy_map, resolve_config
 from gridarena.metrics import MetricsError, summarize
 from gridarena.policy import Policy, PolicyMap, make_scripted
 
-from conftest import small_config
+from conftest import promotes, small_config, young
 
 
 def scripted_log(config=None, name="greedy"):
@@ -303,6 +303,20 @@ def test_reading_pauses_the_collector_and_restores_it(monkeypatch, enabled):
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+@promotes
+def test_a_read_log_is_in_the_oldest_generation():
+    log = GameLog.from_text(scripted_log().to_text())
+    assert not young(log.events[-1])
+
+
+def test_reading_leaves_a_callers_frozen_objects_alone(frozen_caller):
+    text = scripted_log().to_text()
+    frozen = gc.get_freeze_count()
+    log = GameLog.from_text(text)
+    assert gc.get_freeze_count() == frozen
+    assert young(log.events[-1])
 
 
 def test_a_read_that_fails_restores_the_collector():
