@@ -405,8 +405,8 @@ class GameState:
     # node position -> index into ``nodes``; nodes never move or appear
     node_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
     # what the game's cells see (``engine.GameSight``): made on the first
-    # observation, given a cell's entry when a view of an observer on it is
-    # first read
+    # observation; a cell's entry is made on the first read of a view of an
+    # observer on it, and every later read from that cell uses it
     sight: Any = field(default=None, init=False, repr=False, compare=False)
     # cell -> how many living agents stand on it
     living: Counter[tuple[int, int]] = field(init=False, repr=False, compare=False)

@@ -11,19 +11,16 @@ One turn runs in a fixed order:
    through a list with a slot per grid number, and one view of each node
    with its stock. ``observe`` itself takes only the observer's own copy,
    its recent actions and messages, the turn and the variant. ``nearby``,
-   ``nodes`` and ``node_order`` are worked out from the index the first
-   time a policy reads them, and kept: a policy that reads none of them (a
-   random walker) costs none of that work. The index reads no live agent or
-   node after it is made, so a view read after the turn resolves shows the
-   turn's snapshot. One observation's views read only the rows within the
-   observer's vision range, every cell that sees a node shares that node's
-   one view, and observers on one cell share what the cell sees that turn.
-   The index is dropped with the turn's last observation. Per game
-   (``GameSight``), what never changes is worked out once: the all-hidden
-   node views up front, and, the first time a view of an observer on a
-   cell is read, one entry for that cell: the cells in its vision range,
-   the nodes on them, and its node order (nodes by Manhattan distance,
-   which ``Observation.node_order`` carries).
+   ``nodes`` and ``node_order`` are worked out from the index each time a
+   policy reads them, so a random walker, which reads none, costs none of
+   that work. Nothing changes the index, and it reads no live agent or node,
+   so a view read after the turn resolves shows the turn's snapshot; a view
+   reads only the rows within the observer's vision range. The index is
+   dropped with the turn's last observation. Per game (``GameSight``), what
+   never changes is worked out once: the all-hidden node views up front,
+   and, the first time a view of an observer on a cell is read, one entry
+   for that cell: the cells in its vision range, the nodes on them, and its
+   node order (``Observation.node_order``: nodes by Manhattan distance).
 3. decisions: policies are consulted in batch; a failed policy's decision
    is REST, and a policy_fault record precedes its action record.
 4. resolution: queued actions resolve one at a time in a seeded-random
@@ -56,7 +53,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -145,11 +142,12 @@ class Observation(tuple):
     ``observe`` takes ``agent`` (the observer's own copy), ``recent_actions``,
     ``messages``, ``turn`` and ``variant`` when it is called. ``nearby``,
     ``nodes`` and ``node_order`` are worked out from the turn's
-    ``SightIndex`` the first time they are read, and then kept; a policy
-    that never reads one never pays for it. The index holds no live agent or
-    node, so a policy may keep an observation, and read it, after its turn
-    resolves. ``Observation(agent=..., nearby=..., ...)`` builds one with
-    every field given, and observations are equal when their fields are.
+    ``SightIndex`` each time they are read: a policy that needs one twice
+    keeps the value, and one that never reads it never pays for it. The
+    index holds no live agent or node, so a policy may keep an observation,
+    and read it, after its turn resolves. ``Observation(agent=..., ...)``
+    builds one with every field given, and observations are equal when
+    their fields are.
     ``node_order`` lists the indices into ``nodes`` by (Manhattan distance
     from the observer, pos), nearest first, so a scripted policy finds the
     nearest usable node without scanning them all; prompts do not show it.
@@ -237,9 +235,9 @@ class GameSight(NamedTuple):
     ``hidden`` and ``by_pos``, on the game's first index. ``cells`` gets a
     cell's entry (``_cell_sight``), keyed by its grid number (x + y * width,
     the index ``GameConfig.cell_at`` takes), the first time a view of an
-    observer on that cell is read. An entry's tables are ``array``s of ints,
-    which hold no objects to free when the game's state goes, and an
-    observation gets a tuple copy of a node order, never the array."""
+    observer on that cell is read; every later read from it uses the entry.
+    Its tables are ``array``s of ints, which hold no objects to free when
+    the game's state goes; a read of a node order gets a tuple copy."""
 
     hidden: tuple[ObservedNode, ...]  # every node's terrain, stock unseen
     by_pos: array  # node indices by pos
@@ -282,19 +280,16 @@ Row = tuple[int, Cell, int, int, str | None, int | None, Any]
 
 @dataclass(frozen=True)
 class SightIndex:
-    """What every observation of one turn shares, read from one state.
+    """The snapshot of one turn that its observations read their views from.
 
-    Made with the turn, in O(agents + nodes + cells): ``rows`` holds one
-    immutable row per living agent and ``views`` one view of each node with
-    its stock, so nothing here reads the live agents or nodes again;
-    ``cells``, a list with one slot per grid number, holds the positions in
-    ``rows`` of the agents on each cell. The rest is worked out the first
-    time an observation's view is read, kept, and never changed: the
-    ``seen_*`` tables, keyed by the observer's cell (or id, for ``nearby``),
-    and ``sight``'s entry for the cell. Observers on one cell share its rows
-    in sight, its ``nodes`` tuple (which holds this index's view of each
-    node in sight) and its ``node_order`` tuple. Everything but ``sight``
-    is dropped with the last observation that holds the index."""
+    Made with the turn, in O(agents + nodes + cells), and never changed:
+    ``rows`` holds one immutable row per living agent and ``views`` one view
+    of each node with its stock, so nothing here reads the live agents or
+    nodes again; ``cells``, a list with one slot per grid number, holds the
+    positions in ``rows`` of the agents on each cell. Each read of a view
+    works it out again from these and ``sight``'s entry for the observer's
+    cell. Everything but ``sight`` is dropped with the last observation
+    that holds the index."""
 
     rows: list[Row]  # roster order
     cells: list[tuple[int, ...]]  # grid number -> positions in ``rows``
@@ -302,69 +297,45 @@ class SightIndex:
     sight: GameSight
     width: int
     height: int
-    seen: dict[Cell, list[Row]] = field(default_factory=dict)  # rows in sight, roster order
-    seen_nodes: dict[Cell, tuple[ObservedNode, ...]] = field(default_factory=dict)
-    seen_orders: dict[Cell, tuple[int, ...]] = field(default_factory=dict)
-    seen_nearby: dict[int, tuple[NearbyAgent, ...]] = field(default_factory=dict)
 
     def _entry(self, pos: Cell) -> tuple[array, array, array]:
         """``sight``'s entry for ``pos``, made on first use."""
-        number = pos[0] + pos[1] * self.width
-        entry = self.sight.cells.get(number)
-        if entry is None:
-            entry = self.sight.cells[number] = _cell_sight(self.sight, self.width, self.height, pos)
-        return entry
-
-    def rows_at(self, pos: Cell) -> list[Row]:
-        """The rows within vision range of ``pos``, in roster order."""
-        seen = self.seen.get(pos)
-        if seen is None:
-            ranks: list[int] = []
-            cells = self.cells
-            for near in self._entry(pos)[0]:
-                found = cells[near]
-                if found:
-                    ranks += found
-            ranks.sort()
-            rows = self.rows
-            seen = self.seen[pos] = [rows[rank] for rank in ranks]
-        return seen
+        cells, number = self.sight.cells, pos[0] + pos[1] * self.width
+        if number not in cells:
+            cells[number] = _cell_sight(self.sight, self.width, self.height, pos)
+        return cells[number]
 
     def nearby_of(self, agent: AgentState) -> tuple[NearbyAgent, ...]:
         """``agent``'s ``nearby``: the others in sight, resources quantized."""
+        ranks: list[int] = []
+        cells = self.cells
+        for near in self._entry(agent.pos)[0]:
+            found = cells[near]
+            if found:
+                ranks += found
+        ranks.sort()
+        rows = self.rows
         agent_id = agent.id
-        nearby = self.seen_nearby.get(agent_id)
-        if nearby is None:
-            width = max(1, 8 - agent.attrs.SOC)
-            nearby = self.seen_nearby[agent_id] = tuple([
-                _make(NearbyAgent, (other_id, pos, quantize(food, width),
-                                    quantize(tokens, width), role, vitality, attrs))
-                for other_id, pos, food, tokens, role, vitality, attrs in self.rows_at(agent.pos)
-                if other_id != agent_id])
-        return nearby
+        width = max(1, 8 - agent.attrs.SOC)
+        return tuple([
+            _make(NearbyAgent, (other_id, pos, quantize(food, width),
+                                quantize(tokens, width), role, vitality, attrs))
+            for other_id, pos, food, tokens, role, vitality, attrs in map(rows.__getitem__, ranks)
+            if other_id != agent_id])
 
     def nodes_at(self, pos: Cell) -> tuple[ObservedNode, ...]:
         """Every node's terrain, with this turn's stock of those in sight."""
-        nodes = self.seen_nodes.get(pos)
-        if nodes is None:
-            in_sight = self._entry(pos)[1]
-            if in_sight:
-                shown = list(self.sight.hidden)
-                views = self.views
-                for rank in in_sight:
-                    shown[rank] = views[rank]
-                nodes = tuple(shown)
-            else:
-                nodes = self.sight.hidden
-            self.seen_nodes[pos] = nodes
-        return nodes
+        in_sight = self._entry(pos)[1]
+        if not in_sight:
+            return self.sight.hidden
+        shown = list(self.sight.hidden)
+        for rank in in_sight:
+            shown[rank] = self.views[rank]
+        return tuple(shown)
 
     def node_order_at(self, pos: Cell) -> tuple[int, ...]:
         """The node indices nearest ``pos`` first (``Observation.node_order``)."""
-        order = self.seen_orders.get(pos)
-        if order is None:
-            order = self.seen_orders[pos] = tuple(self._entry(pos)[2])
-        return order
+        return tuple(self._entry(pos)[2])
 
 
 def sight_index(state: GameState) -> SightIndex:
@@ -399,10 +370,9 @@ def observe(state: GameState, agent_id: int, index: SightIndex | None = None) ->
     ``index`` must be ``sight_index`` of this same state, unchanged since;
     ``step`` builds it once per turn. The call copies the observer, its
     recent actions and its messages, and leaves the views to the index
-    (see ``SightIndex``): ``nearby`` costs O(agents in vision range) on its
-    first read, and a cell's ``nodes`` and ``node_order`` O(nodes) on the
-    first read by any observer on it that turn. Without ``index`` the call
-    indexes the state itself, which is O(agents + nodes + cells).
+    (see ``SightIndex``): each read of ``nearby`` costs O(agents in vision
+    range), and each read of ``nodes`` or ``node_order`` O(nodes). Without
+    ``index`` the call indexes the state itself: O(agents + nodes + cells).
     """
     if index is None:
         index = sight_index(state)

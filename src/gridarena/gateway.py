@@ -80,15 +80,16 @@ class GatewayConfig:
                              f"host, a valid port and no whitespace, got {self.endpoint_url!r}")
         if not self.model_name:
             raise ValueError("model_name must be set")
-        if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        # NaN and infinities have no JSON form, so the request body could not carry them
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens!r}")
+        # a float count breaks the retry loop, a bool goes out as JSON true
+        for name, least in (("max_concurrency", 1), ("max_retries", 0), ("max_tokens", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # NaN and infinities have no JSON form; time.sleep refuses a NaN or < 0
+        for name in ("temperature", "backoff_base", "backoff_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         # ``socket.settimeout`` overflows past TIMEOUT_MAX, failing each request
         if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:
             raise ValueError(f"request_timeout must be > 0 and <= {threading.TIMEOUT_MAX}, "

@@ -314,12 +314,6 @@ def run_experiment(preset: "str | Preset | GameConfig",
                             out_dir=exp_dir, log_path=log_path)
 
 
-def _play(*args: Any, **kwargs: Any) -> ExperimentRecord:
-    """One sweep game in a worker process. ``run_experiment`` is looked up
-    when called, so a worker runs whatever the name held at fork time."""
-    return run_experiment(*args, **kwargs)
-
-
 def sweep(preset: "str | Preset | GameConfig",
           parameter: str | None = None,
           values: Sequence[Any] | None = None, *,
@@ -365,7 +359,7 @@ def sweep(preset: "str | Preset | GameConfig",
         warnings.warn("sweep value list is empty; nothing to run", stacklevel=2)
         return []
 
-    play = partial(_play, chosen, seed=seed, policies=policies, out_dir=out_dir,
+    play = partial(run_experiment, chosen, seed=seed, policies=policies, out_dir=out_dir,
                    ack_overrides=True, gateway=gateway)
     # workers ignore Ctrl-C, so a game that has started writes all its files
     pool = None if parallel == 1 else ProcessPoolExecutor(

@@ -378,8 +378,8 @@ class Trader(ScriptedPolicy):
 
     def decide(self, obs: Observation) -> PolicyDecision:
         me = obs.agent
-        if me.food > 10 * self.config.upkeep and obs.nearby:
-            target = max(obs.nearby,
+        if me.food > 10 * self.config.upkeep and (nearby := obs.nearby):
+            target = max(nearby,
                          key=lambda n: (n.approx_food + n.approx_tokens, -n.id))
             return PolicyDecision(Trade(target.id, offer_food=2, offer_tokens=0,
                                         request_food=0, request_tokens=1))

@@ -119,6 +119,16 @@ def test_config_regen_required_when_nodes_exist():
     assert any("food_regen" in p for p in
                GameConfig(food_regen=0).problems())
     assert GameConfig(n_food_nodes=0, food_regen=0).problems() == []
+    assert GameConfig(token_regen=0).problems() == [
+        "token_regen must be >= 1 when token nodes exist"]
+    assert GameConfig(n_token_nodes=0, token_regen=0).problems() == []
+
+
+def test_config_seed_must_fit_in_64_bits():
+    assert GameConfig(seed=2 ** 64 - 1).problems() == []
+    for seed in (2 ** 64, -1):
+        assert GameConfig(seed=seed).problems() == [
+            "seed must fit in 64 bits (0 <= seed < 2**64)"]
 
 
 def test_config_even_agents_under_sexual_selection():

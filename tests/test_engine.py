@@ -10,7 +10,7 @@ import sys
 import weakref
 from array import array
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -305,6 +305,24 @@ def test_observation_types_are_immutable(value):
     assert copy.deepcopy(value) == value
 
 
+def test_observations_compare_and_print_by_their_fields():
+    state = make_state([make_agent(0, (0, 0)), make_agent(1, (1, 0))],
+                       nodes=[food_node((1, 1))])
+    obs, other = observe(state, 0), observe(state, 1)
+    values = tuple(getattr(obs, name) for name in Observation._fields)
+    given = Observation(*values)
+    assert given == obs and not given != obs
+    assert obs != other and not obs == other
+    # a tuple underneath, but it compares only with observations
+    for stranger in (values, None, "obs"):
+        assert obs.__eq__(stranger) is NotImplemented
+        assert obs.__ne__(stranger) is NotImplemented
+        assert obs != stranger and not obs == stranger
+    assert repr(obs) == repr(given) == "Observation(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(Observation._fields, values)) + ")"
+    assert "nearby=(NearbyAgent(id=1, pos=(1, 0)" in repr(obs)
+
+
 @given(sight_worlds())
 @example(STACKED_COLUMN)
 def test_one_index_observes_alike_in_any_order(world):
@@ -473,6 +491,33 @@ def test_views_read_after_later_turns_equal_the_scan_of_their_turn(world, name, 
     for _ in range(later):
         step(state, policies)
     read_late(data, observations, before)
+
+
+# a twentieth of the profile's examples: 5 in the suite, 100 when searched deep
+@settings(max_examples=max(1, settings().max_examples // 20), deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_reading_every_view_twice_leaves_the_turns_index_unchanged(turns, data):
+    # the index is the turn's snapshot: each read works its view out again
+    # and stores nothing, so only the game's sight gains an entry per cell
+    config, policies = crowd_shaped_game()
+    state = new_game(config)
+    for _ in range(turns):
+        step(state, policies)
+    warm = sight_index(state)
+    for agent in state.alive_agents():
+        for name in VIEWS:  # the game's sight gets an entry for each observer's cell
+            getattr(observe(state, agent.id, warm), name)
+    index = sight_index(state)
+    before = copy.deepcopy(index)
+    observations = {agent.id: observe(state, agent.id, index) for agent in state.alive_agents()}
+    reads = [(agent_id, name) for agent_id in observations for name in VIEWS] * 2
+    for agent_id, name in data.draw(st.permutations(reads)):
+        assert getattr(observations[agent_id], name) == \
+            getattr(scan_observe(state, agent_id), name), (agent_id, name)
+    assert [field.name for field in fields(engine.SightIndex)] == \
+        ["rows", "cells", "views", "sight", "width", "height"]
+    assert not hasattr(engine.SightIndex, "rows_at")
+    assert index == before
 
 
 class FreshIndexKeeper:

@@ -775,6 +775,39 @@ def test_replay_rejects_config_sizes_the_snapshots_do_not_match():
         replay(log_of(records))
 
 
+def test_replay_rejects_a_repeated_end_record(tmp_path, capsys):
+    records = records_of(scripted_log())
+    records.append(records[-1])
+    message = f"line {len(records)} (end): record after the end of the game"
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay(log_of(records))
+    path = tmp_path / "game.log"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["replay", str(path)]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_replay_names_an_action_record_too_malformed_to_use():
+    records = records_of(scripted_log())
+    index = first_index(records, lambda r: r["type"] == "action")
+    records[index]["agent_id"] = [records[index]["agent_id"]]
+    message = f"line {index + 1} (action): malformed record (TypeError: "
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}") as raised:
+        replay(log_of(records))
+    assert isinstance(raised.value.__cause__, TypeError)
+
+
+def test_a_log_without_its_header_is_an_analysis_error(tmp_path, capsys):
+    path = tmp_path / "game.log"
+    path.write_text("".join(line + "\n" for line in list(scripted_log().lines())[1:]))
+    with pytest.raises(LogError, match="^log has no header record$"):
+        replay(GameLog.read(path))
+    assert main(["replay", str(path)]) == 4
+    assert "log has no header record" in capsys.readouterr().err
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+    assert "log has no header record" in capsys.readouterr().err
+
+
 def test_replay_setup_does_not_grow_with_a_tampered_grid_area():
     records = records_of(scripted_log())
     records[0]["config"].update(grid_width=1000, grid_height=1000)

@@ -57,6 +57,26 @@ def test_gateway_config_rejects_unsendable_sampling_fields(field, value):
         GatewayConfig(endpoint_url="http://x", model_name="m", **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    # a count must be a true integer: a float breaks the retry loop's range,
+    # a bool goes out as JSON true
+    ("max_retries", 2.5), ("max_retries", True), ("max_tokens", True),
+    ("max_tokens", 128.0), ("max_concurrency", True), ("max_concurrency", 2.0),
+    ("max_concurrency", "4"), ("temperature", True),
+    # time.sleep refuses a negative or NaN backoff after the first retryable failure
+    ("backoff_base", -1.0), ("backoff_base", float("nan")), ("backoff_base", float("inf")),
+    ("backoff_cap", float("nan")), ("backoff_cap", -0.5), ("backoff_cap", float("inf"))])
+def test_gateway_config_rejects_counts_and_backoffs_a_batch_cannot_use(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        GatewayConfig(endpoint_url="http://x", model_name="m", **{field: value})
+
+
+def test_gateway_config_accepts_a_zero_backoff_and_no_retries():
+    config = GatewayConfig(endpoint_url="http://x", model_name="m", max_retries=0,
+                           backoff_base=0, backoff_cap=0.0)
+    assert _backoff_delay(3, config) == 0
+
+
 def test_a_timeout_max_gateway_timeout_completes(stub_gateway):
     config = gateway_config(stub_gateway, request_timeout=threading.TIMEOUT_MAX)
     assert complete("hello", config).startswith("echo:")

@@ -449,6 +449,18 @@ def test_a_parallel_sweep_warns_of_the_serial_sweeps_failures():
     assert failure_warnings(2) == serial
 
 
+def test_cli_sweep_prints_each_failed_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli("sweep", "--preset", "P2b", "--values", "2,-1", "--out", str(out)) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == ("FAILED upkeep=-1: ConfigError: invalid configuration: "
+                           "upkeep must be >= 0")
+    assert sum(line.startswith("| 2 |") for line in printed) == 1
+    assert "- upkeep=-1: ConfigError" in (out / "failures.md").read_text()
+
+
 @pytest.mark.parametrize("parallel", [0, -1])
 def test_sweep_refuses_fewer_than_one_game_at_once(tmp_path, parallel, capsys):
     with pytest.raises(ConfigError, match="parallel must be >= 1"):
@@ -730,6 +742,14 @@ def test_cli_malformed_endpoint_is_a_config_error(capsys):
                "--endpoint", "localhost:8000/v1", "--model", "m") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "endpoint_url" in err
+
+
+@pytest.mark.parametrize("flag", ["--endpoint", "--model"])
+def test_cli_endpoint_and_model_come_together(flag, capsys):
+    value = "http://127.0.0.1:9/v1" if flag == "--endpoint" else "m"
+    assert cli("run", "--preset", "P1", "--policies", "llm", flag, value) == 2
+    assert capsys.readouterr().err == \
+        "config error: --endpoint and --model must be given together\n"
 
 
 @pytest.mark.parametrize("timeout", ["0", "-1"])
