@@ -122,7 +122,10 @@ def _cmd_validate_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    result = replay(GameLog.read(args.log))
+    try:
+        result = replay(GameLog.read(args.log))
+    except ReplayError as exc:  # LogError too; name the file, as analyze does
+        raise type(exc)(f"{args.log}: {exc}") from exc
     print(f"replay ok: {result.turns} turns, {result.events} events, "
           f"{result.survivors} survivors, ended by {result.reason}")
     return 0

@@ -34,7 +34,8 @@ One turn runs in a fixed order:
    ``delta`` is always empty.
 
 ``play_turn`` holds these rules; steps 2-3 are its callback, which asks the
-policies in ``step`` and reads a log's decisions in ``gamelog.replay``.
+policies in ``step`` and reads a log's decisions in ``gamelog.replay``; its
+mapping is read once per actor, just before that actor's records are yielded.
 
 The engine is policy-agnostic: ``policies`` is any object providing
 
@@ -55,7 +56,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from . import mating as _mating
 from .actions import (
@@ -557,10 +558,12 @@ _roster_order = attrgetter("id")
 
 
 def play_turn(state: GameState, policies: Any,
-              decide: Callable[[list[int]], dict[int, PolicyDecision]]) -> Iterator[dict[str, Any]]:
+              decide: Callable[[list[int]], Mapping[int, PolicyDecision]]
+              ) -> Iterator[dict[str, Any]]:
     """Play one turn by the rules, mutating ``state`` and yielding each record
-    as it is produced. ``decide(actors)`` gives the decisions of the agents alive
-    after upkeep; ``policies.evaluate_proposal`` answers REPRODUCE proposals."""
+    as it is produced. ``decide(actors)`` maps the agents alive after upkeep to
+    their decisions, each read just before that agent's records are yielded;
+    ``policies.evaluate_proposal`` answers REPRODUCE proposals as they resolve."""
     turn = state.turn
     deaths: list[int] = []
     births: list[int] = []

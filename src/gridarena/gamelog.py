@@ -40,11 +40,12 @@ then passes one record check; LogError names the line and its first problem:
     <path> must be an integer   a float, NaN or Infinity, at a path as delta[0][4]
 
 ``replay`` is the integrity checker: it re-executes the game with the
-engine's rules and compares every record. Decisions are read from the log
-(action text, fallback flag, policy faults, a chooser's accept/reject) as
-the ``PolicyDecision``s the engine plays, which refuse a fallback on any
-action but REST; everything else (snapshots, deltas, outcomes, order,
-deaths, births, the end record) is re-derived.
+engine's rules and compares every record in order. Each decision (action
+text, fallback flag, policy fault, a chooser's accept/reject) is read from
+the record under the cursor when the engine asks for it, as a
+``PolicyDecision`` the engine plays, which refuses a fallback on any action
+but REST; everything else (snapshots, deltas, outcomes, order, deaths,
+births, the end record) is re-derived.
 """
 
 from __future__ import annotations
@@ -343,8 +344,7 @@ class ReplayResult:
 
 _ABSENT = object()
 
-# What an actor with no action record plays (its record cannot match the log);
-# one shared value, as ``plans`` passes it to ``setdefault`` for every actor.
+# Played for a record that logs no decision; ``check`` refuses what it yields.
 _MISSING = PolicyDecision(REST)
 
 
@@ -359,13 +359,11 @@ class _Script:
 
     def __init__(self, events: list[dict[str, Any]]):
         self.events = events
-        self.at = 0                           # index of the record being read or checked
-        self.proposals: dict[int, int] = {}   # proposer id -> index of its action record
+        self.at = 0  # index of the record being read or checked
         self.decisions: dict[tuple[str, bool], PolicyDecision] = {}  # see ``decision``
 
-    def where(self, index: int | None = None) -> str:
-        index = self.at if index is None else index
-        return f"line {index + 1} ({self.events[index]['type']})"
+    def where(self) -> str:
+        return f"line {self.at + 1} ({self.events[self.at]['type']})"
 
     def check(self, produced: dict[str, Any]) -> None:
         """The record must equal the logged one. A difference is named by
@@ -383,28 +381,18 @@ class _Script:
                               f"log, {_shown(produced)} on re-execution")
         self.at += 1
 
-    def plans(self, actors: list[int]) -> dict[int, PolicyDecision]:
-        """This turn's decisions, read from the policy_fault and action
-        records that follow its upkeep record: a fault's text, or an action's
-        text and fallback flag."""
-        start, plans = self.at, {}
-        self.proposals = {}
-        while self.events[self.at]["type"] in ("policy_fault", "action"):
-            record = self.events[self.at]
-            agent_id = record["agent_id"]
-            if record["type"] == "policy_fault":
-                if not isinstance(record["error"], str):
-                    raise ReplayError(f"{self.where()}: error is not a string")
-                plans[agent_id] = PolicyDecision(REST, parse_status="fallback",
-                                                 error=record["error"])
-            elif agent_id not in plans:
-                plans[agent_id] = self.decision(record["action"], record["fallback"])
-                self.proposals[agent_id] = self.at
-            self.at += 1
-        self.at = start
-        for agent_id in actors:
-            plans.setdefault(agent_id, _MISSING)
-        return plans
+    def __getitem__(self, agent_id: int) -> PolicyDecision:
+        """The decision the record under the cursor logs (the engine asks just
+        before it yields the actor's records): a fault's text, or an action's
+        text and fallback flag. Whose it is, ``check`` compares."""
+        record = self.events[self.at]
+        if record["type"] == "policy_fault":
+            if not isinstance(record["error"], str):
+                raise ReplayError(f"{self.where()}: error is not a string")
+            return PolicyDecision(REST, parse_status="fallback", error=record["error"])
+        if record["type"] == "action":
+            return self.decision(record["action"], record["fallback"])
+        return _MISSING
 
     def decision(self, text: str, fallback: Any) -> PolicyDecision:
         """The decision an action record logs, built once per distinct
@@ -427,11 +415,11 @@ class _Script:
         return decision
 
     def evaluate_proposal(self, chooser: AgentState, view: Any) -> bool:
-        """A chooser's verdict is the proposer's logged REPRODUCE outcome."""
-        index = self.proposals[view.provider_id]
-        outcome = self.events[index]["outcome"]
+        """A chooser's verdict is the logged outcome of the proposer's action,
+        the record under the cursor while its REPRODUCE resolves."""
+        outcome = self.events[self.at]["outcome"]
         if outcome not in ("accepted", "rejected"):
-            raise ReplayError(f"{self.where(index)}: the rules have agent {chooser.id} "
+            raise ReplayError(f"{self.where()}: the rules have agent {chooser.id} "
                               f"evaluate this proposal, but the outcome is {outcome!r}")
         return outcome == "accepted"
 
@@ -458,7 +446,7 @@ def replay(log: GameLog) -> ReplayResult:
         state = new_game(config)
         script.check(header_event(state))
         while (reason := engine.check_termination(state)) is None:
-            for record in engine.play_turn(state, script, script.plans):
+            for record in engine.play_turn(state, script, lambda actors: script):
                 script.check(record)
         script.check(end_event(state, reason))
     except ReplayError:

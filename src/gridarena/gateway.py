@@ -85,10 +85,15 @@ class GatewayConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # a bool would pass as 0 or 1, and text fails the checks below with TypeError
+        for name in ("temperature", "backoff_base", "backoff_cap", "request_timeout"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # NaN and infinities have no JSON form; time.sleep refuses a NaN or < 0
         for name in ("temperature", "backoff_base", "backoff_cap"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         # ``socket.settimeout`` overflows past TIMEOUT_MAX, failing each request
         if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:

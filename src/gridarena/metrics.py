@@ -60,19 +60,22 @@ def _walk(log: GameLog) -> tuple[dict[str, int], dict[str, int], list[tuple[int,
     """Everything a log's metrics are counted from, in one pass over its
     records: resolved actions per type (ACTION_TYPES order), the other
     counts by name, and the per-turn series. A turn's action records come
-    before its ``turn_end``, so its entropy is taken there."""
+    before its ``turn_end``, so its entropy is taken there. An action whose
+    first word is not an action type is a MetricsError naming its line."""
     counts: dict[str, int] = {}
     tallies = dict.fromkeys(("trades", "attacks", "births", "fallbacks", "policy_faults"), 0)
     per_turn: dict[int, dict[str, int]] = {}
     alive = sum(1 for snap in log.header["agents"] if snap["alive"])
     series = []
-    for event in log:
+    for lineno, event in enumerate(log, start=1):
         kind = event["type"]
         if kind == "action":
             tallies["fallbacks"] += bool(event["fallback"])
             if event["outcome"] == "cancelled_dead":
                 continue
             name = event["action"].split(" ", 1)[0]
+            if name not in ACTION_TYPES:
+                raise MetricsError(f"line {lineno} (action): {name!r} is not an action type")
             counts[name] = counts.get(name, 0) + 1
             bucket = per_turn.setdefault(event["turn"], {})
             bucket[name] = bucket.get(name, 0) + 1

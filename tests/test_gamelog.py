@@ -684,8 +684,11 @@ def test_replay_rejects_policy_fault_moved_to_another_agent():
     # a fault followed by its REST and then another agent's action
     index = first_index(range(len(records) - 2), lambda i: records[i]["type"] == "policy_fault"
                         and records[i + 2]["type"] == "action")
-    records[index]["agent_id"] = records[index + 2]["agent_id"]
-    with pytest.raises(ReplayError, match=rf"line {index + 1} \(policy_fault\): type "):
+    moved_to, faulty = records[index + 2]["agent_id"], records[index]["agent_id"]
+    records[index]["agent_id"] = moved_to
+    message = (f"line {index + 1} (policy_fault): agent_id is {moved_to} in the log, "
+               f"{faulty} on re-execution")
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
         replay(log_of(records))
 
 
@@ -790,11 +793,36 @@ def test_replay_rejects_a_repeated_end_record(tmp_path, capsys):
 def test_replay_names_an_action_record_too_malformed_to_use():
     records = records_of(scripted_log())
     index = first_index(records, lambda r: r["type"] == "action")
-    records[index]["agent_id"] = [records[index]["agent_id"]]
-    message = f"line {index + 1} (action): malformed record (TypeError: "
+    agent_id = records[index]["agent_id"]
+    records[index]["agent_id"] = [agent_id]
+    message = (f"line {index + 1} (action): agent_id is [{agent_id}] in the log, "
+               f"{agent_id} on re-execution")
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay(log_of(records))
+
+
+def test_replay_names_an_action_text_of_the_wrong_type_as_malformed():
+    records = records_of(scripted_log())
+    index = first_index(records, lambda r: r["type"] == "action")
+    records[index]["action"] = 7
+    message = f"line {index + 1} (action): malformed record (AttributeError: "
     with pytest.raises(ReplayError, match=f"^{re.escape(message)}") as raised:
         replay(log_of(records))
-    assert isinstance(raised.value.__cause__, TypeError)
+    assert isinstance(raised.value.__cause__, AttributeError)
+
+
+def test_replay_names_the_first_line_that_differs_within_a_turn():
+    """A later record of the turn that cannot be used is not read before an
+    earlier record of the same turn is compared."""
+    records = records_of(scripted_log())
+    first = first_index(records, lambda r: r["type"] == "action" and r["outcome"] == "ok")
+    later = first + 1 + first_index(records[first + 1:], lambda r: r["type"] == "action")
+    assert records[later]["turn"] == records[first]["turn"]
+    records[first]["outcome"] = "rejected"
+    records[later]["action"] = "GATHRE"
+    message = f'line {first + 1} (action): outcome is "rejected" in the log, "ok" on re-execution'
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay(log_of(records))
 
 
 def test_a_log_without_its_header_is_an_analysis_error(tmp_path, capsys):
@@ -806,6 +834,19 @@ def test_a_log_without_its_header_is_an_analysis_error(tmp_path, capsys):
     assert "log has no header record" in capsys.readouterr().err
     assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
     assert "log has no header record" in capsys.readouterr().err
+
+
+def test_replay_names_the_file_in_every_analysis_error(tmp_path, capsys):
+    lines = [line + "\n" for line in scripted_log().lines()]
+    for name, data, problem in [
+            ("not-utf8", b"\xff" + "".join(lines).encode(), "line 1: not UTF-8 text"),
+            ("no-header", "".join(lines[1:]).encode(), "log has no header record"),
+            ("end-twice", "".join(lines + lines[-1:]).encode(),
+             f"line {len(lines) + 1} (end): record after the end of the game")]:
+        path = tmp_path / f"{name}.log"
+        path.write_bytes(data)
+        assert main(["replay", str(path)]) == 4
+        assert capsys.readouterr().err.startswith(f"analysis error: {path}: {problem}")
 
 
 def test_replay_setup_does_not_grow_with_a_tampered_grid_area():

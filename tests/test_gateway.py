@@ -65,7 +65,10 @@ def test_gateway_config_rejects_unsendable_sampling_fields(field, value):
     ("max_concurrency", "4"), ("temperature", True),
     # time.sleep refuses a negative or NaN backoff after the first retryable failure
     ("backoff_base", -1.0), ("backoff_base", float("nan")), ("backoff_base", float("inf")),
-    ("backoff_cap", float("nan")), ("backoff_cap", -0.5), ("backoff_cap", float("inf"))])
+    ("backoff_cap", float("nan")), ("backoff_cap", -0.5), ("backoff_cap", float("inf")),
+    # a bool is no timeout, and text or None is no number
+    ("request_timeout", True), ("temperature", "0.5"), ("backoff_base", "1"),
+    ("backoff_cap", None), ("request_timeout", "60")])
 def test_gateway_config_rejects_counts_and_backoffs_a_batch_cannot_use(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be "):
         GatewayConfig(endpoint_url="http://x", model_name="m", **{field: value})

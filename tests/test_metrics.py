@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +152,26 @@ def test_summarize_names_a_missing_end_record_once():
     with pytest.raises(MetricsError) as excinfo:
         summarize(log)
     assert str(excinfo.value) == "log has no end record"
+
+
+def test_an_action_of_no_action_type_is_a_metrics_error_naming_its_line(tmp_path, capsys):
+    """The whole-game counts keep the action types only, while the per-turn
+    series keeps every first word: such a record would count in one and not
+    in the other."""
+    from gridarena.cli import main
+
+    lines = scripted_log().to_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if '"action":"GATHER"' in line)
+    lines[index] = lines[index].replace('"action":"GATHER"', '"action":"FLY"', 1)
+    log = GameLog.from_text("".join(lines))
+    message = f"line {index + 1} (action): 'FLY' is not an action type"
+    with pytest.raises(MetricsError, match=f"^{re.escape(message)}$"):
+        summarize(log)
+    path = tmp_path / "fly.log"
+    path.write_text("".join(lines))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+    assert f"analysis error: {path}: {message}" in capsys.readouterr().err
+    assert main(["replay", str(path)]) == 4
 
 
 class CountingLog(GameLog):
