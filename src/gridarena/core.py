@@ -3,6 +3,14 @@
 All randomness flows through a single ``random.Random`` owned by the
 ``GameState``; nothing in this package touches the global RNG. Two games
 built from equal configs (same seed) are identical object for object.
+
+Every bounded draw of a game (attributes, start cells, vitality, turn order,
+roles, a scripted policy's random step) goes through one kernel, ``below``,
+and ``shuffle`` built on it: ``random.Random``'s own rejection loop on
+``getrandbits``, so each draw reads the same Mersenne Twister words that
+``choice``, ``randrange``, ``randint`` and ``shuffle`` would, without their
+layers of Python calls. Node placement (``sample``), mutation noise
+(``gauss``) and trade acceptance (``random``) stay ``random.Random``'s.
 """
 
 from __future__ import annotations
@@ -106,6 +114,26 @@ def collector_paused() -> Iterator[None]:
             gc.unfreeze()
         if was_enabled:
             gc.enable()
+
+
+def below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from ``range(n)``, n >= 1 (n = 0 never returns), from
+    an RNG's bound ``getrandbits``: the rejection loop of
+    ``random.Random._randbelow``, so it reads the same words and returns what
+    ``Random.randrange(n)`` would. The game's one copy of that loop."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place, draw for draw as ``rng.shuffle(x)`` does."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        j = below(getrandbits, i + 1)
+        x[i], x[j] = x[j], x[i]
 
 
 # --------------------------------------------------------------------------
@@ -304,11 +332,13 @@ class Attributes:
 
 def generate_attributes(rng: random.Random) -> Attributes:
     """Draw a fresh attribute block: start all at 1, then spend 24 points
-    one at a time on a uniformly random attribute still below 8."""
+    one at a time on a uniformly random attribute still below 8 (each
+    draw is ``rng.choice(open_slots)``'s)."""
+    getrandbits = rng.getrandbits
     values = [ATTRIBUTE_MIN] * len(ATTRIBUTE_NAMES)
     open_slots = list(range(len(ATTRIBUTE_NAMES)))  # in order; a slot leaves at the cap
     for _ in range(INITIAL_ATTRIBUTE_SUM - len(ATTRIBUTE_NAMES) * ATTRIBUTE_MIN):
-        slot = rng.choice(open_slots)
+        slot = open_slots[below(getrandbits, len(open_slots))]
         values[slot] += 1
         if values[slot] == INITIAL_ATTRIBUTE_CAP:
             open_slots.remove(slot)
@@ -438,12 +468,15 @@ def place_nodes(rng: random.Random, config: GameConfig) -> list[ResourceNode]:
 def new_game(config: GameConfig) -> GameState:
     """Build the initial state for a validated config.
 
-    Draw order is part of the determinism contract: node placement first,
-    then per agent attrs, position, and (sexual_selection only) vitality;
-    roles are assigned last, once the roster is complete.
+    Draw order is part of the determinism contract: node placement first
+    (``rng.sample``), then per agent attrs, position, and (sexual_selection
+    only) vitality, each drawn by the ``below`` kernel as ``rng.choice`` and
+    ``rng.randint(1, 10)`` would; roles are assigned last, once the roster is
+    complete, by ``shuffle``.
     """
     config.validate()
     rng = random.Random(config.seed)
+    getrandbits = rng.getrandbits
     nodes = place_nodes(rng, config)
     agents: dict[int, AgentState] = {}
 
@@ -453,7 +486,7 @@ def new_game(config: GameConfig) -> GameState:
     occupancy: dict[int, int] = {}
     for i in range(config.n_agents):
         attrs = generate_attributes(rng)
-        cell = rng.choice(range(config.area - len(full)))
+        cell = below(getrandbits, config.area - len(full))
         for index in full:
             if index > cell:
                 break
@@ -463,7 +496,7 @@ def new_game(config: GameConfig) -> GameState:
             bisect.insort(full, cell)
         agent = AgentState(id=i, pos=config.cell_at(cell), attrs=attrs)
         if sexual:
-            agent.vitality = rng.randint(1, 10)
+            agent.vitality = 1 + below(getrandbits, 10)
         agents[i] = agent
     state = GameState(config=config, agents=agents, nodes=nodes, rng=rng,
                       next_agent_id=config.n_agents)

@@ -81,6 +81,7 @@ from .core import (
     VISION_RANGE,
     chebyshev,
     collector_paused,
+    shuffle,
 )
 from .gamelog import Delta, GameLog, end_event, header_event
 
@@ -581,7 +582,7 @@ def play_turn(state: GameState, policies: Any,
 
     # 4. sequential resolution in seeded-random order
     order = sorted(actors)
-    state.rng.shuffle(order)
+    shuffle(state.rng, order)
     for aid in order:
         agent = state.agents[aid]
         decision = decisions[aid]

@@ -29,8 +29,10 @@ the decoded records then go straight to the collector's oldest generation, so
 no young collection walks them (``core.collector_paused``). Each line is
 decoded by one shared decoder's ``scan_once``. A line the scan does not read
 to its end is stripped of any Unicode whitespace (``str.strip``), skipped if
-blank, and otherwise decoded once more by ``_decode``. Every decoded line
-then passes one record check; LogError names the line and its first problem:
+blank (``GameLog.lineno`` still counts it: every line an error of the log,
+its replay or its metrics names is a line of the file), and otherwise decoded
+once more by ``_decode``. Every decoded line then passes one record check;
+LogError names the line and its first problem:
 
     invalid JSON (...)          the decoder's reason
     unreadable number (...)     an integer longer than sys.get_int_max_str_digits()
@@ -235,10 +237,13 @@ class GameLog:
 
     events: list[dict[str, Any]]
     _lines: list[str] = field(repr=False, compare=False)
+    # the blank lines ``from_text`` skipped before the last record, ascending
+    _skipped: list[int] = field(repr=False, compare=False)
 
     def __init__(self, events: Iterable[dict[str, Any]] = ()):
         self.events = []
         self._lines = []
+        self._skipped = []
         self.extend(events)
 
     def append(self, event: dict[str, Any]) -> None:
@@ -258,6 +263,16 @@ class GameLog:
     def __len__(self) -> int:
         return len(self.events)
 
+    def lineno(self, index: int) -> int:
+        """The file line of record ``index`` (from 0): its place in the log,
+        moved down past each blank line ``from_text`` skipped before it."""
+        line = index + 1
+        for skipped in self._skipped:
+            if skipped > line:
+                break
+            line += 1
+        return line
+
     @property
     def header(self) -> dict[str, Any]:
         if not self.events or self.events[0]["type"] != "header":
@@ -275,7 +290,8 @@ class GameLog:
         try:
             return GameConfig.parse(self.header["config"])
         except ConfigError as exc:
-            raise LogError("line 1 (header): " + "; ".join(exc.problems)) from exc
+            raise LogError(f"line {self.lineno(0)} (header): "
+                           + "; ".join(exc.problems)) from exc
 
     def lines(self) -> Iterator[str]:
         return iter(self._lines)
@@ -299,7 +315,7 @@ class GameLog:
         """Read a log's text with the collector paused; LogError names the
         first line that is not a record (see the module docstring)."""
         log = cls()
-        events, lines = log.events, log._lines
+        events, lines, skipped = log.events, log._lines, log._skipped
         scan = _DECODER.scan_once
         with collector_paused():
             # ``splitlines`` would also break at U+0085, U+2028 and U+2029,
@@ -315,6 +331,7 @@ class GameLog:
                     # once more, stripped, so a problem can be named
                     line = line.strip()
                     if not line:
+                        skipped.append(lineno)
                         continue
                     event, number = _decode(lineno, line)
                 etype = _checked_type(lineno, event)
@@ -323,6 +340,9 @@ class GameLog:
                                    f"must be an integer, got {number}")
                 events.append(event)
                 lines.append(line)
+        while skipped and skipped[-1] == lineno:  # after the last record: moves none
+            skipped.pop()
+            lineno -= 1
         return log
 
     @classmethod
@@ -357,13 +377,14 @@ class _Script:
     """The logged side of a replay: it serves the engine the decisions a log
     records, and checks each record the rules produce against the log."""
 
-    def __init__(self, events: list[dict[str, Any]]):
-        self.events = events
+    def __init__(self, log: GameLog):
+        self.events = log.events
+        self.lineno = log.lineno  # error lines are file lines
         self.at = 0  # index of the record being read or checked
         self.decisions: dict[tuple[str, bool], PolicyDecision] = {}  # see ``decision``
 
     def where(self) -> str:
-        return f"line {self.at + 1} ({self.events[self.at]['type']})"
+        return f"line {self.lineno(self.at)} ({self.events[self.at]['type']})"
 
     def check(self, produced: dict[str, Any]) -> None:
         """The record must equal the logged one. A difference is named by
@@ -436,7 +457,7 @@ def replay(log: GameLog) -> ReplayResult:
 
     events = log.events
     header, _ = log.header, log.end  # LogError when either record is missing
-    script = _Script(events)
+    script = _Script(log)
     config = log.config()
     try:
         # the header's own snapshots bound the set-up work by the size of the log

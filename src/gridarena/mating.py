@@ -25,9 +25,11 @@ from .core import (
     GameState,
     ROLE_CHOOSER,
     ROLE_PROVIDER,
+    below,
     chebyshev,
     clip,
     round_half_up,
+    shuffle,
 )
 from .gamelog import Delta
 
@@ -70,7 +72,7 @@ def assign_roles(agents: list[AgentState], rng: random.Random) -> None:
     if len(agents) % 2 != 0:
         raise ValueError("role assignment needs an even agent count")
     ids = sorted(a.id for a in agents)
-    rng.shuffle(ids)
+    shuffle(rng, ids)
     providers = set(ids[: len(ids) // 2])
     for agent in agents:
         agent.role = ROLE_PROVIDER if agent.id in providers else ROLE_CHOOSER
@@ -112,7 +114,7 @@ def make_offspring(parent_a: AgentState, parent_b: AgentState, rng: random.Rando
         values[name] = clip(round_half_up(mean + rng.gauss(0.0, MUTATION_SIGMA)),
                             ATTRIBUTE_MIN, ATTRIBUTE_MAX)
     vitality = clip(round_half_up((parent_a.vitality + parent_b.vitality) / 2), 1, 10)
-    role = rng.choice((ROLE_PROVIDER, ROLE_CHOOSER))
+    role = (ROLE_PROVIDER, ROLE_CHOOSER)[below(rng.getrandbits, 2)]
     food, tokens = vitality_endowment(vitality)
     return AgentState(
         id=agent_id,

@@ -67,7 +67,7 @@ def _walk(log: GameLog) -> tuple[dict[str, int], dict[str, int], list[tuple[int,
     per_turn: dict[int, dict[str, int]] = {}
     alive = sum(1 for snap in log.header["agents"] if snap["alive"])
     series = []
-    for lineno, event in enumerate(log, start=1):
+    for index, event in enumerate(log):
         kind = event["type"]
         if kind == "action":
             tallies["fallbacks"] += bool(event["fallback"])
@@ -75,7 +75,8 @@ def _walk(log: GameLog) -> tuple[dict[str, int], dict[str, int], list[tuple[int,
                 continue
             name = event["action"].split(" ", 1)[0]
             if name not in ACTION_TYPES:
-                raise MetricsError(f"line {lineno} (action): {name!r} is not an action type")
+                raise MetricsError(f"line {log.lineno(index)} (action): "
+                                   f"{name!r} is not an action type")
             counts[name] = counts.get(name, 0) + 1
             bucket = per_turn.setdefault(event["turn"], {})
             bucket[name] = bucket.get(name, 0) + 1

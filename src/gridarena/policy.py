@@ -33,6 +33,7 @@ from .core import (
     ROLE_PROVIDER,
     VARIANT_SEXUAL_SELECTION,
     VISION_RANGE,
+    below,
     manhattan,
     vitality_band,
 )
@@ -303,7 +304,8 @@ _REST = PolicyDecision(REST)
 _GATHER = PolicyDecision(GATHER)
 _MOVES = {steps: PolicyDecision(Move(steps)) for steps in
           [(a,) for a in DIRECTIONS] + [(a, b) for a in DIRECTIONS for b in DIRECTIONS]}
-_ONE_STEP = tuple(_MOVES[(name,)] for name in "NSEW")  # drawn as ``rng.choice("NSEW")`` is
+# a random step is ``_ONE_STEP[below(rng.getrandbits, 4)]``, as ``rng.choice("NSEW")`` draws it
+_ONE_STEP = tuple(_MOVES[(name,)] for name in "NSEW")
 
 
 class ScriptedPolicy(Policy):
@@ -362,7 +364,7 @@ class RandomWalker(ScriptedPolicy):
     """One seeded-random step per turn."""
 
     def decide(self, obs: Observation) -> PolicyDecision:
-        return self.rng.choice(_ONE_STEP)
+        return _ONE_STEP[below(self.rng.getrandbits, 4)]
 
 
 class GreedyGatherer(ScriptedPolicy):
@@ -434,7 +436,7 @@ class Suitor(ScriptedPolicy):
             move = self._move_toward(me, target.pos)
             if move is not None:
                 return move
-        return self.rng.choice(_ONE_STEP)
+        return _ONE_STEP[below(self.rng.getrandbits, 4)]
 
 
 class PickyChooser(GreedyGatherer):

@@ -1,6 +1,7 @@
 """Config validation, serialization, helpers, and seeded world setup."""
 
 import dataclasses
+import hashlib
 import pickle
 import random
 
@@ -16,17 +17,19 @@ from gridarena.core import (
     ROLE_CHOOSER,
     ROLE_PROVIDER,
     VARIANT_SEXUAL_SELECTION,
+    below,
     chebyshev,
     clip,
     generate_attributes,
     manhattan,
     new_game,
     round_half_up,
+    shuffle,
     vitality_band,
 )
 from gridarena.gamelog import GameLog, header_event
 from gridarena.gateway import GatewayError
-from gridarena.harness import resolve_config, resolve_preset
+from gridarena.harness import PRESETS, resolve_config, resolve_preset
 
 from conftest import small_config
 
@@ -243,6 +246,68 @@ def test_generated_attributes_spend_exact_budget(seed):
 
 def test_generated_attributes_deterministic():
     assert generate_attributes(random.Random(5)) == generate_attributes(random.Random(5))
+
+
+# --------------------------------------------------------------------------
+# The bounded-draw kernel: each draw reads the words random.Random's reads
+
+seeds = st.integers(min_value=0, max_value=2 ** 64 - 1)
+
+
+@given(seeds, st.one_of(st.integers(min_value=1, max_value=2 ** 40),
+                        st.integers(min_value=0, max_value=40).map(lambda e: 2 ** e)))
+def test_below_draws_what_randrange_draws(seed, n):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    getrandbits = ours.getrandbits
+    assert [below(getrandbits, n) for _ in range(3)] == [theirs.randrange(n) for _ in range(3)]
+    assert ours.getstate() == theirs.getstate()
+
+
+@given(seeds, st.lists(st.integers(), max_size=40))
+def test_shuffle_equals_random_shuffle(seed, items):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    mine, yours = list(items), list(items)
+    shuffle(ours, mine)
+    theirs.shuffle(yours)
+    assert mine == yours
+    assert ours.getstate() == theirs.getstate()
+
+
+def choice_attributes(rng: random.Random) -> Attributes:
+    """The attribute draw as ``rng.choice`` over the open slots makes it."""
+    values = [1] * 6
+    open_slots = list(range(6))
+    for _ in range(24):
+        slot = rng.choice(open_slots)
+        values[slot] += 1
+        if values[slot] == 8:
+            open_slots.remove(slot)
+    return Attributes(*values)
+
+
+@given(seeds)
+def test_generated_attributes_draw_what_rng_choice_draws(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert generate_attributes(ours) == choice_attributes(theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+CROWD = dataclasses.replace(PRESETS["P1"].config, grid_width=24, grid_height=24,
+                            n_food_nodes=44, n_token_nodes=22, n_agents=144,
+                            upkeep=1, max_turns=40, seed=1)
+
+
+@pytest.mark.parametrize("config, digest", [
+    (PRESETS["P1"].config, "1fcd352cf21c67a312ad19e05e42e37aa176489a42e4315cc3787833f9cca04e"),
+    (PRESETS["P2"].config, "06f0ae7afb287e1b9da7aae52d71dc10768f5224cc7963136d3cf702044667b5"),
+    (PRESETS["V7"].config, "2915551acafc5865b4a81b7aa3083ba175804d9fa5889aded9d9804f40552018"),
+    (CROWD, "077ee0b32dfb0681fd0ad01eaca2c6adf9ef9395fb8472d672cbb398548c185b"),
+], ids=["P1", "P2", "V7", "crowd"])
+def test_new_game_leaves_the_rng_where_it_did(config, digest):
+    """Set-up reads exactly the Mersenne Twister words it always read, so
+    the first turn's draws are unchanged too."""
+    state = new_game(config)
+    assert hashlib.sha256(repr(state.rng.getstate()).encode()).hexdigest() == digest
 
 
 # --------------------------------------------------------------------------

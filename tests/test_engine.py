@@ -39,6 +39,7 @@ from gridarena.core import (
     chebyshev,
     manhattan,
     new_game,
+    shuffle,
 )
 from gridarena.cli import main
 from gridarena.engine import (
@@ -803,7 +804,7 @@ def test_dead_actor_action_is_cancelled():
     state = make_state([a, b], config=cfg, seed=0)
     # seed 0 shuffles [0, 1] to itself, so the attacker resolves first
     order = [0, 1]
-    state.rng.shuffle(order)
+    shuffle(state.rng, order)
     assert order == [0, 1], "fixture seed must schedule the attacker first"
     state = make_state([a, b], config=cfg, seed=0)
     records = step(state, plan_map({0: Attack(target_id=1), 1: GATHER}))

@@ -214,6 +214,9 @@ def test_a_line_nested_past_the_recursion_limit_is_a_log_error(tmp_path, capsys)
     assert_both_commands_name(path, tmp_path, capsys, "line 2: nested too deeply to read")
 
 
+SMALL_LOG_TEXT = scripted_log(small_config(n_agents=2, max_turns=2)).to_text()
+
+
 def test_padded_and_blank_lines_read_as_their_records():
     log = scripted_log()
     lines = log.to_text().splitlines()
@@ -221,6 +224,22 @@ def test_padded_and_blank_lines_read_as_their_records():
     clone = GameLog.from_text("\n".join(padded))
     assert clone.events == log.events
     assert list(clone.lines()) == list(log.lines())
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=20),
+                          st.sampled_from(["", " ", "\t \u2028"])), max_size=8))
+def test_a_records_line_number_is_its_file_line(blanks):
+    """``lineno`` counts the blank lines ``from_text`` skipped; a log read
+    without one before its last record keeps no skipped lines."""
+    log = GameLog.from_text(SMALL_LOG_TEXT)
+    assert log._skipped == []
+    lines = SMALL_LOG_TEXT.split("\n")
+    for at, blank in blanks:
+        lines.insert(min(at, len(lines)), blank)
+    read = GameLog.from_text("\n".join(lines))
+    assert read.events == log.events
+    for index in range(len(read)):
+        assert lines[read.lineno(index) - 1].strip() == list(log.lines())[index]
 
 
 ROUND_TRIP_GAMES = {
@@ -503,26 +522,47 @@ def test_single_deletions_never_escape_as_bare_errors(tmp_path):
 # Re-execution: decisions come from the log, everything else is re-derived
 
 
-@pytest.mark.parametrize("preset, overrides, seed, policies, digest", [
-    ("P1", None, 42, None,
-     "d73f733a02b472fdb896acbf9891a85c39b70d5e82ab61f341c1594e7e98d2e4"),
-    ("P1", None, 42, "mixed:0-5=trader,6-9=aggressor,*=walker",
-     "ac4dfdb150ba986ddecfbef3d79d687a7187fca0fa5aa5695c7d7d4386d6139d"),
-    ("P2", {"upkeep": 5}, 7, None,
-     "b0f8856ea13eca10e43d46d096293fa9d36eacc7026ff48402ae432c719e8ece"),
-    ("V7", None, 1, None,
-     "aeb23f35183f534972d647537f54b6ec366b355a8427aa67f072c04f739f01a2"),
+PINNED_LOGS = {
+    "P1": ("P1", None, 42, None,
+           "d73f733a02b472fdb896acbf9891a85c39b70d5e82ab61f341c1594e7e98d2e4"),
+    "P1-mixed": ("P1", None, 42, "mixed:0-5=trader,6-9=aggressor,*=walker",
+                 "ac4dfdb150ba986ddecfbef3d79d687a7187fca0fa5aa5695c7d7d4386d6139d"),
+    "P2": ("P2", {"upkeep": 5}, 7, None,
+           "b0f8856ea13eca10e43d46d096293fa9d36eacc7026ff48402ae432c719e8ece"),
+    "V7": ("V7", None, 1, None,
+           "aeb23f35183f534972d647537f54b6ec366b355a8427aa67f072c04f739f01a2"),
     # crowd-sized: stacked cells, and a vision range smaller than the grid
-    ("P1", {"grid_width": 24, "grid_height": 24, "n_food_nodes": 44,
-            "n_token_nodes": 22, "n_agents": 144, "upkeep": 1, "max_turns": 40}, 1,
-     "mixed:0-35=aggressor,36-71=trader,72-107=walker,*=greedy",
-     "6edaa1bdc1f32eb31276b70923d1aceab498422326672d8b224a0b70d93717c7"),
-])
+    "crowd": ("P1", {"grid_width": 24, "grid_height": 24, "n_food_nodes": 44,
+                     "n_token_nodes": 22, "n_agents": 144, "upkeep": 1, "max_turns": 40}, 1,
+              "mixed:0-35=aggressor,36-71=trader,72-107=walker,*=greedy",
+              "6edaa1bdc1f32eb31276b70923d1aceab498422326672d8b224a0b70d93717c7"),
+}
+
+
+def run_pinned(preset, overrides, seed, policies):
+    return run_experiment(preset, overrides, seed=seed, policies=policies,
+                          ack_overrides=overrides is not None)
+
+
+@pytest.mark.parametrize("preset, overrides, seed, policies, digest", list(PINNED_LOGS.values()))
 def test_log_bytes_are_pinned(preset, overrides, seed, policies, digest):
     """Engine changes must leave these logs byte for byte as they were."""
-    record = run_experiment(preset, overrides, seed=seed, policies=policies,
-                            ack_overrides=overrides is not None)
-    assert record.log_sha256 == digest
+    assert run_pinned(preset, overrides, seed, policies).log_sha256 == digest
+
+
+@pytest.mark.parametrize("name", ["P2", "V7", "crowd"])
+def test_games_make_no_bounded_draw_through_random_random(name, monkeypatch):
+    """Every bounded draw goes through ``core.below``: with ``random.Random``'s
+    own bounded draws refused, the games still give their pinned logs. (The
+    V7 game shuffles roles and breeds a child; ``sample``, which places the
+    nodes, calls ``_randbelow`` itself, so that stays.)"""
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a bounded draw through random.Random")
+
+    for method in ("choice", "shuffle", "randrange", "randint"):
+        monkeypatch.setattr(random.Random, method, refused)
+    *game, digest = PINNED_LOGS[name]
+    assert run_pinned(*game).log_sha256 == digest
 
 
 def records_of(log):
@@ -847,6 +887,53 @@ def test_replay_names_the_file_in_every_analysis_error(tmp_path, capsys):
         path.write_bytes(data)
         assert main(["replay", str(path)]) == 4
         assert capsys.readouterr().err.startswith(f"analysis error: {path}: {problem}")
+
+
+def blank_line_log(tmp_path, edit):
+    """P1 seed 1's log with a blank line after its header and ``edit``
+    applied to its file lines; the path and the edited file line."""
+    lines = list(preset_log("P1", seed=1).lines())
+    lines.insert(1, "")
+    lineno = edit(lines)
+    path = tmp_path / "blank.log"
+    path.write_text("\n".join(lines) + "\n")
+    return path, lineno
+
+
+def test_replay_names_the_file_line_after_a_blank_line(tmp_path, capsys):
+    def reject_line_5(lines):
+        assert '"outcome":"ok"' in lines[4]
+        lines[4] = lines[4].replace('"outcome":"ok"', '"outcome":"rejected"', 1)
+        return 5
+
+    path, lineno = blank_line_log(tmp_path, reject_line_5)
+    message = (f'line {lineno} (action): outcome is "rejected" in the log, '
+               '"ok" on re-execution')
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay(GameLog.read(path))
+    assert main(["replay", str(path)]) == 4
+    assert capsys.readouterr().err == f"analysis error: {path}: {message}\n"
+
+
+def test_analyze_names_the_file_line_after_a_blank_line(tmp_path, capsys):
+    def fly(lines):
+        index = next(i for i, line in enumerate(lines) if '"action":"GATHER"' in line)
+        lines[index] = lines[index].replace('"action":"GATHER"', '"action":"FLY"', 1)
+        return index + 1
+
+    path, lineno = blank_line_log(tmp_path, fly)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == 4
+    assert capsys.readouterr().err == (f"analysis error: {path}: line {lineno} (action): "
+                                       "'FLY' is not an action type\n")
+
+
+def test_a_header_after_a_blank_line_is_named_by_its_file_line(tmp_path):
+    records = records_of(scripted_log())
+    records[0]["config"].pop("upkeep")
+    path = tmp_path / "game.log"
+    path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(LogError, match=r"^line 2 \(header\): missing keys: upkeep$"):
+        replay(GameLog.read(path))
 
 
 def test_replay_setup_does_not_grow_with_a_tampered_grid_area():
