@@ -13,13 +13,18 @@ The canonical forms are::
 
 Parsing is lenient about case and surrounding prose: the input is scanned
 line by line, top to bottom, and the first line matching the grammar wins.
+
+The ``_KINDS`` table is the vocabulary's one owner: each kind's keyword,
+prompt usage line, grammar and builder are declared there and nowhere else.
+``ACTION_TYPES``, ``USAGE_LINES`` and the parser's patterns are derived from
+it, and its order is the report order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .core import ATTRIBUTE_NAMES
 
@@ -170,22 +175,26 @@ def render(action: Action) -> str:
     raise TypeError(f"not an action: {action!r}")
 
 
-_ATTR_ALT = "|".join(ATTRIBUTE_NAMES)
-_PATTERNS: list[tuple[re.Pattern[str], object]] = [
-    (re.compile(r"GATHER", re.IGNORECASE), lambda m: Gather()),
-    (re.compile(r"MOVE\s+([NSEW])(?:\s+([NSEW]))?", re.IGNORECASE),
+# One row per kind, the mating kinds COMMUNICATE and REPRODUCE last: its
+# keyword, the usage line a prompt shows, the grammar after the keyword, and
+# the builder of the action from a match of keyword + grammar.
+_KINDS: tuple[tuple[str, str, str, Callable[[re.Match[str]], Action]], ...] = (
+    ("GATHER", "GATHER", "", lambda m: Gather()),
+    ("MOVE", "MOVE [direction]", r"\s+([NSEW])(?:\s+([NSEW]))?",
      lambda m: Move(tuple(g.upper() for g in m.groups() if g))),
-    (re.compile(r"ATTACK\s+(\d+)", re.IGNORECASE), lambda m: Attack(int(m.group(1)))),
-    (re.compile(r"TRADE\s+(\d+)\s+(\d+)f(\d+)t\s+(\d+)f(\d+)t", re.IGNORECASE),
-     lambda m: Trade(int(m.group(1)), int(m.group(2)), int(m.group(3)),
-                     int(m.group(4)), int(m.group(5)))),
-    (re.compile(r"REST", re.IGNORECASE), lambda m: Rest()),
-    (re.compile(fr"TRAIN\s+({_ATTR_ALT})", re.IGNORECASE),
+    ("ATTACK", "ATTACK [target_id]", r"\s+(\d+)", lambda m: Attack(int(m.group(1)))),
+    ("TRADE", "TRADE [target_id] [offer] [request]", r"\s+(\d+)\s+(\d+)f(\d+)t\s+(\d+)f(\d+)t",
+     lambda m: Trade(*map(int, m.groups()))),
+    ("REST", "REST", "", lambda m: Rest()),
+    ("TRAIN", "TRAIN [attribute]", fr"\s+({'|'.join(ATTRIBUTE_NAMES)})",
      lambda m: Train(m.group(1).upper())),
-    (re.compile(r"COMMUNICATE\s+(\S.*)", re.IGNORECASE),
-     lambda m: Communicate(m.group(1))),
-    (re.compile(r"REPRODUCE\s+(\d+)", re.IGNORECASE), lambda m: Reproduce(int(m.group(1)))),
-]
+    ("COMMUNICATE", "COMMUNICATE [message]", r"\s+(\S.*)", lambda m: Communicate(m.group(1))),
+    ("REPRODUCE", "REPRODUCE [target_id]", r"\s+(\d+)", lambda m: Reproduce(int(m.group(1)))),
+)
+ACTION_TYPES = tuple(keyword for keyword, _, _, _ in _KINDS)
+USAGE_LINES = {keyword: usage for keyword, usage, _, _ in _KINDS}
+_PATTERNS = [(re.compile(keyword + grammar, re.IGNORECASE), build)
+             for keyword, _, grammar, build in _KINDS]
 
 
 def _match_line(line: str) -> Action | None:
@@ -200,7 +209,7 @@ def _match_line(line: str) -> Action | None:
             m = pattern.fullmatch(text)
             if m:
                 try:
-                    return build(m)  # type: ignore[operator]
+                    return build(m)
                 except ValueError:
                     continue
     return None

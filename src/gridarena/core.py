@@ -481,7 +481,9 @@ def new_game(config: GameConfig) -> GameState:
     agents: dict[int, AgentState] = {}
 
     sexual = config.engine_variant == VARIANT_SEXUAL_SELECTION
-    # draw the n-th cell below capacity in grid order: O(roster), not O(area)
+    # draw the n-th cell below capacity in grid order: O(roster), not O(area),
+    # so a tampered header's grid size cannot size replay's set-up
+    # (test_replay_setup_does_not_grow_with_a_tampered_grid_area)
     full: list[int] = []                  # indices of full cells, ascending
     occupancy: dict[int, int] = {}
     for i in range(config.n_agents):

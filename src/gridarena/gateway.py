@@ -9,9 +9,10 @@ followed: a 3xx fails at once naming its ``Location``, since following it
 would drop the POST body (301-303) or carry the key to another host.
 Transport errors, 429s, and 5xx responses retry with jittered exponential
 backoff; authentication failures never retry; any other status, and a 200
-whose body is not JSON, fail at once. ``batch_complete`` fans out over a
-thread pool capped at ``max_concurrency`` (default 4) and reports
-per-prompt failures in place, so one bad prompt never cancels its siblings.
+whose body is not JSON or whose content is not text, fail at once.
+``batch_complete`` fans out over a thread pool capped at ``max_concurrency``
+(default 4) and reports per-prompt failures in place, so one bad prompt
+never cancels its siblings.
 """
 
 from __future__ import annotations
@@ -112,9 +113,15 @@ def _request_body(prompt: str, config: GatewayConfig) -> dict:
 
 def _extract_text(payload: dict) -> str:
     try:
-        return payload["choices"][0]["message"]["content"]
+        content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise GatewayError(f"malformed completion payload: {exc!r}") from exc
+    # a null or a list of content parts would fault the parser, and with it
+    # every decision of the batch
+    if not isinstance(content, str):
+        raise GatewayError("malformed completion payload: "
+                           f"content is {type(content).__name__}")
+    return content
 
 
 def _backoff_delay(attempt: int, config: GatewayConfig) -> float:

@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping
 
+from .actions import ACTION_TYPES
 from .gamelog import GameLog, LogError
 
-ACTION_TYPES = ("GATHER", "MOVE", "ATTACK", "TRADE", "REST", "TRAIN",
-                "COMMUNICATE", "REPRODUCE")
 SOCIAL_TYPES = ("TRADE", "COMMUNICATE")
 
 

@@ -14,6 +14,7 @@ import random
 from typing import Any, Sequence
 
 from .actions import (
+    ACTION_TYPES,
     ActionParseError,
     Attack,
     Communicate,
@@ -24,6 +25,7 @@ from .actions import (
     REST,
     Reproduce,
     Trade,
+    USAGE_LINES,
     parse_action,
 )
 from .core import (
@@ -43,33 +45,20 @@ from .mating import PROVIDER_TOKEN_COST
 
 
 def available_actions(observation: Observation) -> tuple[str, ...]:
-    """Action names legal for this observer: the survival six, plus
-    COMMUNICATE under sexual_selection, plus REPRODUCE for providers only."""
-    names = ["GATHER", "MOVE", "ATTACK", "TRADE", "REST", "TRAIN"]
-    if observation.variant == VARIANT_SEXUAL_SELECTION:
-        names.append("COMMUNICATE")
-        if observation.agent.role == ROLE_PROVIDER:
-            names.append("REPRODUCE")
-    return tuple(names)
+    """Action names legal for this observer, in ``ACTION_TYPES`` order: the
+    survival six, plus COMMUNICATE under sexual_selection, plus REPRODUCE
+    for providers only (``actions._KINDS`` puts those two last, in that order)."""
+    if observation.variant != VARIANT_SEXUAL_SELECTION:
+        return ACTION_TYPES[:-2]
+    return ACTION_TYPES if observation.agent.role == ROLE_PROVIDER else ACTION_TYPES[:-1]
 
 
 # --------------------------------------------------------------------------
 # Prompt construction
 
-_ACTION_PLACEHOLDERS = {
-    "GATHER": "GATHER",
-    "MOVE": "MOVE [direction]",
-    "ATTACK": "ATTACK [target_id]",
-    "TRADE": "TRADE [target_id] [offer] [request]",
-    "REST": "REST",
-    "TRAIN": "TRAIN [attribute]",
-    "COMMUNICATE": "COMMUNICATE [message]",
-    "REPRODUCE": "REPRODUCE [target_id]",
-}
-
 
 def _actions_block(names: Sequence[str]) -> str:
-    items = [_ACTION_PLACEHOLDERS[n] for n in names]
+    items = [USAGE_LINES[n] for n in names]
     rows = [items[i:i + 3] for i in range(0, len(items), 3)]
     return ",\n".join(", ".join(row) for row in rows)
 

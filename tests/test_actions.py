@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gridarena.actions import (
+    ACTION_TYPES,
     ActionParseError,
     Attack,
     Communicate,
@@ -15,6 +16,7 @@ from gridarena.actions import (
     Rest,
     Trade,
     Train,
+    USAGE_LINES,
     parse_action,
     render,
 )
@@ -43,6 +45,15 @@ def test_render_matches_canonical_form(action, text):
 @pytest.mark.parametrize("action,text", CANONICAL)
 def test_parse_of_render_round_trips(action, text):
     assert parse_action(text) == action
+
+
+@pytest.mark.parametrize("kind", ACTION_TYPES)
+def test_each_kinds_usage_rendering_and_parse_agree(kind):
+    sample = {text.split()[0]: action for action, text in CANONICAL}[kind]
+    assert USAGE_LINES[kind].split()[0] == kind
+    text = render(sample)
+    assert text.split()[0] == kind
+    assert parse_action(text) == sample
 
 
 # --------------------------------------------------------------------------

@@ -168,6 +168,9 @@ def test_malformed_payload_is_an_immediate_error():
         _extract_text({"choices": [{"message": {}}]})
     with pytest.raises(GatewayError):
         _extract_text({})
+    for content, kind in ((None, "NoneType"), ([{"type": "text", "text": "GATHER"}], "list")):
+        with pytest.raises(GatewayError, match=f"^malformed completion payload: content is {kind}"):
+            _extract_text({"choices": [{"message": {"content": content}}]})
 
 
 def test_backoff_delay_grows_and_caps():

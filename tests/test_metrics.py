@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from gridarena import actions, metrics
 from gridarena.core import GameConfig, new_game
 from gridarena.engine import run_game
 from gridarena.gamelog import GameLog
@@ -86,6 +87,11 @@ def test_entropy_is_normalized(counts):
 
 # --------------------------------------------------------------------------
 # Log summarization
+
+
+def test_metrics_counts_in_the_action_vocabulary():
+    assert metrics.ACTION_TYPES is actions.ACTION_TYPES
+    assert set(metrics.SOCIAL_TYPES) <= set(actions.ACTION_TYPES)
 
 
 def test_action_counts_orders_by_canonical_type_order():

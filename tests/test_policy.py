@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridarena.actions import (
+    ACTION_TYPES,
     Attack,
     Communicate,
     GATHER,
@@ -21,13 +22,16 @@ from gridarena.core import (
     AgentState,
     Attributes,
     ROLE_CHOOSER,
+    ROLE_NONE,
     ROLE_PROVIDER,
     VARIANT_SEXUAL_SELECTION,
     VARIANT_SURVIVAL,
     manhattan,
+    new_game,
 )
-from gridarena.engine import NearbyAgent, ObservedNode, Observation
+from gridarena.engine import NearbyAgent, ObservedNode, Observation, step
 from gridarena.gateway import GatewayConfig, GatewayError
+from gridarena.harness import build_policy_map
 from gridarena.mating import ProposalView
 from gridarena.policy import (
     LLMPolicy,
@@ -192,6 +196,14 @@ def test_available_actions_by_variant_and_role():
     chooser = make_agent(0, (0, 0), role=ROLE_CHOOSER)
     actions = available_actions(observation(chooser, variant=VARIANT_SEXUAL_SELECTION))
     assert list(actions) == base + ["COMMUNICATE"]
+
+
+@pytest.mark.parametrize("variant", [VARIANT_SURVIVAL, VARIANT_SEXUAL_SELECTION])
+@pytest.mark.parametrize("role", [ROLE_NONE, ROLE_PROVIDER, ROLE_CHOOSER])
+def test_available_actions_are_an_ordered_subsequence_of_action_types(variant, role):
+    names = available_actions(observation(make_agent(0, (0, 0), role=role), variant=variant))
+    rest = iter(ACTION_TYPES)
+    assert names and all(name in rest for name in names)
 
 
 # --------------------------------------------------------------------------
@@ -516,6 +528,19 @@ def test_llm_policy_batch_isolates_gateway_errors(stub_gateway):
     first, second = policy.decide_batch(observations)
     assert first == PolicyDecision(REST, parse_status="fallback", error="GatewayError: HTTP 500")
     assert second.error == first.error or second == PolicyDecision(GATHER, raw_response="GATHER")
+
+
+def test_a_reply_without_text_content_faults_only_its_own_decision(stub_gateway):
+    # a null content once reached parse_action and faulted the whole batch
+    stub_gateway.responder = lambda prompt: (None if prompt.startswith("You are Agent 0 ")
+                                             else "GATHER")
+    config = small_config(n_agents=4)
+    records = step(new_game(config), build_policy_map("llm", config, gateway_config(stub_gateway)))
+    faults = [r for r in records if r["type"] == "policy_fault"]
+    assert [(r["agent_id"], r["error"]) for r in faults] == [
+        (0, "GatewayError: malformed completion payload: content is NoneType")]
+    actions = {r["agent_id"]: r["action"] for r in records if r["type"] == "action"}
+    assert actions == {0: "REST", 1: "GATHER", 2: "GATHER", 3: "GATHER"}
 
 
 def test_llm_policy_evaluates_proposals(stub_gateway):

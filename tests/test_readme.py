@@ -1,9 +1,11 @@
-"""README's python examples run as written, its config block parses, and
-every line of its policy assignment grammar builds a PolicyMap."""
+"""README's python examples run as written, its config block parses, every
+line of its policy assignment grammar builds a PolicyMap, and its opening
+paragraph names the action vocabulary."""
 
 import re
 from pathlib import Path
 
+from gridarena.actions import ACTION_TYPES
 from gridarena.core import VARIANT_SEXUAL_SELECTION, GameConfig, new_game
 from gridarena.harness import build_policy_map
 from gridarena.policy import SCRIPTED_POLICIES, Policy, PolicyMap
@@ -51,3 +53,9 @@ def test_readme_grammar_lines_build_policy_maps(stub_gateway):
             assert isinstance(policy_map, PolicyMap), assignment
             for agent in new_game(config).agents.values():
                 assert isinstance(policy_map.policy_for(agent), Policy), assignment
+
+
+def test_readme_names_every_action_kind():
+    opening = README.read_text(encoding="utf-8").split("\n\n", 2)[1]
+    vocabulary = re.search(r"action vocabulary\s*\((.*?)\)", opening, re.S).group(1)
+    assert sorted(re.findall(r"\b[A-Z]+\b", vocabulary)) == sorted(ACTION_TYPES)
