@@ -9,7 +9,8 @@ followed: a 3xx fails at once naming its ``Location``, since following it
 would drop the POST body (301-303) or carry the key to another host.
 Transport errors, 429s, and 5xx responses retry with jittered exponential
 backoff; authentication failures never retry; any other status, and a 200
-whose body is not JSON or whose content is not text, fail at once.
+whose body is not JSON or whose content is not text, fail at once; such a
+200's ``GatewayError`` carries status 200 and the number of requests made.
 ``batch_complete`` fans out over a thread pool capped at ``max_concurrency``
 (default 4) and reports per-prompt failures in place, so one bad prompt
 never cancels its siblings.
@@ -111,16 +112,17 @@ def _request_body(prompt: str, config: GatewayConfig) -> dict:
     }
 
 
-def _extract_text(payload: dict) -> str:
+def _extract_text(payload: dict, attempts: int = 1) -> str:
     try:
         content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise GatewayError(f"malformed completion payload: {exc!r}") from exc
+        raise GatewayError(f"malformed completion payload: {exc!r}",
+                           status=200, attempts=attempts) from exc
     # a null or a list of content parts would fault the parser, and with it
     # every decision of the batch
     if not isinstance(content, str):
         raise GatewayError("malformed completion payload: "
-                           f"content is {type(content).__name__}")
+                           f"content is {type(content).__name__}", status=200, attempts=attempts)
     return content
 
 
@@ -171,7 +173,7 @@ def complete(prompt: str, config: GatewayConfig) -> str:
             except ValueError as exc:
                 raise GatewayError(f"non-JSON completion body: {exc}",
                                    status=200, attempts=attempts) from exc
-            return _extract_text(payload)
+            return _extract_text(payload, attempts)
         if status in (401, 403):
             raise GatewayAuthError(f"authentication rejected (HTTP {status})",
                                    status=status, attempts=attempts)

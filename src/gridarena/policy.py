@@ -182,10 +182,10 @@ def _checked(decision: Any) -> PolicyDecision:
 
 
 def _decided(policy: "Policy", obs: Observation) -> PolicyDecision:
-    """``policy.decide(obs)``, or the fault decision if it raised (an
-    engine fault in the observation's views, ``ViewError``, is re-raised)."""
+    """``policy.decide(obs)``, or the fault decision if it raised or gave no
+    ``PolicyDecision`` (``ViewError``, an engine fault in a view, is re-raised)."""
     try:
-        return policy.decide(obs)
+        return _checked(policy.decide(obs))
     except ViewError:
         raise
     except Exception as exc:
@@ -195,10 +195,13 @@ def _decided(policy: "Policy", obs: Observation) -> PolicyDecision:
 class Policy:
     """Decision maker for one or more agents.
 
-    ``decide_batch`` gives one decision per observation, in order, and
-    isolates failures per observation: a ``decide`` that raises gives that
-    slot the fault decision (``_fault``), and the engine logs the fault. A
-    ``ViewError`` (the engine failed to work out a view) is passed on.
+    ``PolicyMap`` asks a policy through ``decide``, one observation at a
+    time, unless its class overrides ``decide_batch`` (``LLMPolicy`` does):
+    then it is asked once a turn for all its agents. ``decide_batch`` gives
+    one decision per observation, in order, and isolates failures per
+    observation: a ``decide`` that raises gives that slot the fault decision
+    (``_fault``), and the engine logs the fault. A ``ViewError`` (the engine
+    failed to work out a view) is passed on.
     """
 
     def decide(self, obs: Observation) -> PolicyDecision:
@@ -219,12 +222,12 @@ class PolicyMap:
 
     Policies are created lazily through ``factory(agent)`` and cached by
     agent id, so offspring born mid-game get policies on first use.
-    Observations are batched per policy instance, preserving agent-id order.
-    A batch of one for a policy that keeps ``Policy.decide_batch`` is asked
-    through ``decide`` directly, which gives what that ``decide_batch`` would.
-    Whatever a policy gives that is not a ``PolicyDecision`` (``None``, say)
-    becomes the fault decision, so ``decide_all`` keeps the engine's protocol
-    for any policy.
+    ``decide_all`` walks the agents in id order and asks each one's policy
+    through ``decide`` at once, unless the policy overrides ``decide_batch``:
+    such a policy is asked once, after the others, with its agents'
+    observations in id order. Whatever a policy gives that is not a
+    ``PolicyDecision`` (``None``, say) becomes the fault decision, so
+    ``decide_all`` keeps the engine's protocol for any policy.
     """
 
     def __init__(self, factory):
@@ -239,22 +242,17 @@ class PolicyMap:
         return policy
 
     def decide_all(self, observations: dict[int, Observation]) -> dict[int, PolicyDecision]:
-        # one batch per policy instance, in the order of their first agents
-        groups: dict[int, tuple[Policy, list[int]]] = {}
-        for aid in sorted(observations):
-            policy = self.policy_for(observations[aid].agent)
-            group = groups.get(id(policy))
-            if group is None:
-                groups[id(policy)] = (policy, [aid])
-            else:
-                group[1].append(aid)
-
         results: dict[int, PolicyDecision] = {}
-        for policy, ids in groups.values():
-            if len(ids) == 1 and type(policy).decide_batch is Policy.decide_batch:
-                # a group of one, as each scripted agent is
-                results[ids[0]] = _checked(_decided(policy, observations[ids[0]]))
-                continue
+        batches: dict[int, tuple[Policy, list[int]]] = {}  # by policy instance
+        for aid in sorted(observations):
+            obs = observations[aid]
+            policy = self.policy_for(obs.agent)
+            if type(policy).decide_batch is Policy.decide_batch:
+                results[aid] = _decided(policy, obs)
+            else:
+                batches.setdefault(id(policy), (policy, []))[1].append(aid)
+
+        for policy, ids in batches.values():
             try:
                 batch = list(policy.decide_batch([observations[a] for a in ids]))
             except ViewError:

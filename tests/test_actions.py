@@ -11,6 +11,7 @@ from gridarena.actions import (
     GATHER,
     Gather,
     Move,
+    PolicyDecision,
     REST,
     Reproduce,
     Rest,
@@ -129,6 +130,15 @@ def test_parse_rejects_junk(text):
 def test_invalid_construction_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"parse_status": "parsed"}, "bad parse_status 'parsed'"),
+    ({"error": "ValueError: no decision"}, "a fault is a fallback decision"),
+])
+def test_policy_decision_rejects_what_no_policy_decides(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PolicyDecision(**{"action": REST, **fields})
 
 
 # --------------------------------------------------------------------------

@@ -772,6 +772,16 @@ def test_train_respects_attribute_cap():
     assert ops == []  # value already at cap, progress resets to 0: no change
 
 
+def test_train_that_completes_from_no_progress_logs_only_the_attribute():
+    # INT 10 reaches the threshold in one TRAIN: progress goes 0 -> 0
+    agent = make_agent(0, (1, 1), attrs=replace(flat_attrs(1), INT=10))
+    state = make_state([agent])
+    outcome, ops = resolve(state, agent, Train(attribute="STR"))
+    assert outcome == "ok"
+    assert ops == [["agent", 0, "attr:STR", 1, 2]]
+    assert agent.train_progress == {}
+
+
 def test_mating_actions_unavailable_in_survival():
     agent = make_agent(0, (1, 1))
     other = make_agent(1, (1, 1))

@@ -851,6 +851,15 @@ def test_replay_names_an_action_text_of_the_wrong_type_as_malformed():
     assert isinstance(raised.value.__cause__, AttributeError)
 
 
+def test_replay_names_the_line_where_a_turns_decisions_are_missing():
+    records = records_of(preset_log("P1"))
+    kept = [r for r in records if not (r["type"] == "action" and r["turn"] == 0)]
+    assert len(kept) < len(records)
+    message = 'line 3 (regen): type is "regen" in the log, "action" on re-execution'
+    with pytest.raises(ReplayError, match=f"^{re.escape(message)}$"):
+        replay(log_of(kept))
+
+
 def test_replay_names_the_first_line_that_differs_within_a_turn():
     """A later record of the turn that cannot be used is not read before an
     earlier record of the same turn is compared."""

@@ -159,7 +159,7 @@ def test_client_errors_do_not_retry(stub_gateway):
     assert stub_gateway.request_count == 1
 
 
-def test_malformed_payload_is_an_immediate_error():
+def test_malformed_payload_is_an_immediate_error(stub_gateway):
     from gridarena.gateway import _extract_text
 
     with pytest.raises(GatewayError):
@@ -171,6 +171,17 @@ def test_malformed_payload_is_an_immediate_error():
     for content, kind in ((None, "NoneType"), ([{"type": "text", "text": "GATHER"}], "list")):
         with pytest.raises(GatewayError, match=f"^malformed completion payload: content is {kind}"):
             _extract_text({"choices": [{"message": {"content": content}}]})
+    # after a retried 503, a 200 without text content reports its status and
+    # both requests, as a 200 whose body is not JSON does
+    for body, message in ((b'{"choices": []}', "malformed completion payload: "),
+                          (b"<html>", "non-JSON completion body: ")):
+        stub_gateway.reset()
+        stub_gateway.status_script = [503]
+        stub_gateway.raw_body = body
+        with pytest.raises(GatewayError, match=f"^{message}") as raised:
+            complete("hello", gateway_config(stub_gateway, max_retries=2))
+        assert (raised.value.status, raised.value.attempts) == (200, 2)
+        assert stub_gateway.request_count == 2
 
 
 def test_backoff_delay_grows_and_caps():

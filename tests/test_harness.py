@@ -143,6 +143,7 @@ def test_assignment_scripted_and_mixed():
     "mixed:0-x=greedy", "mixed:0=nonsense", "byrole:provider=suitor",
     "byrole:dealer=suitor,chooser=picky", "llm", "mixed:0=llm,*=rest",
     "scripted:llm", "what", "byrole:provider=suitor,chooser=picky",
+    "mixed:0-3", "mixed:=greedy", "mixed:0=",
 ])
 def test_assignment_rejects_malformed_or_unsupported(assignment):
     # everything here is invalid for a survival config with no gateway

@@ -277,7 +277,7 @@ def test_policy_map_isolates_per_agent_faults():
     assert decisions[1] == decisions[3] == PolicyDecision(action=REST)
 
 
-def test_policy_map_asks_each_policy_once_in_the_order_of_its_first_agent():
+def test_policy_map_asks_each_agent_in_id_order_then_each_batch_once():
     calls = []
 
     class Named(Policy):
@@ -300,11 +300,77 @@ def test_policy_map_asks_each_policy_once_in_the_order_of_its_first_agent():
                 4: Named("raises")}
     decisions = PolicyMap(lambda agent: policies[agent.id]).decide_all(
         observations_for([4, 3, 2, 1, 0]))
-    assert calls == [("shared", 0), ("shared", 2), ("alone", 1), ("batched", [3]),
-                     ("raises", 4)]
+    assert calls == [("shared", 0), ("alone", 1), ("shared", 2), ("raises", 4),
+                     ("batched", [3])]
     assert [decisions[i].action for i in range(4)] == [REST, REST, REST, GATHER]
     assert decisions[4] == PolicyDecision(REST, parse_status="fallback",
                                           error="ValueError: no decision")
+
+
+class Recorded(Policy):
+    """Answers every decision alike, by its ``behaviour``: its own REST
+    ("decides"), an exception ("raises"), None ("none"), or, batching, one
+    decision too few ("short"). Each call goes on ``calls``."""
+
+    def __init__(self, name, behaviour, calls):
+        self.name, self.behaviour, self.calls = name, behaviour, calls
+
+    def answer(self):
+        if self.behaviour == "raises":
+            raise ValueError(f"{self.name} failed")
+        return None if self.behaviour == "none" else PolicyDecision(REST, raw_response=self.name)
+
+    def decide(self, obs):
+        self.calls.append((self.name, obs.agent.id))
+        return self.answer()
+
+    def expected(self, batch_size):
+        errors = {"raises": f"ValueError: {self.name} failed",
+                  "none": "TypeError: policy returned NoneType, not a PolicyDecision",
+                  "short": f"RuntimeError: policy returned {batch_size - 1} decisions "
+                           f"for {batch_size} observations"}
+        if self.behaviour == "decides":
+            return PolicyDecision(REST, raw_response=self.name)
+        return PolicyDecision(REST, parse_status="fallback", error=errors[self.behaviour])
+
+
+class RecordedBatch(Recorded):
+    def decide_batch(self, observations):
+        self.calls.append((self.name, [obs.agent.id for obs in observations]))
+        if self.behaviour == "short":
+            return [PolicyDecision(REST, raw_response=self.name)] * (len(observations) - 1)
+        return [self.answer() for _ in observations]
+
+
+POLICY_SPECS = st.one_of(
+    st.tuples(st.just(Recorded), st.sampled_from(["decides", "raises", "none"])),
+    st.tuples(st.just(RecordedBatch), st.sampled_from(["decides", "raises", "none", "short"])))
+
+
+@given(specs=st.lists(POLICY_SPECS, min_size=1, max_size=4),
+       assignment=st.dictionaries(st.integers(0, 40), st.integers(0, 3), min_size=1,
+                                  max_size=12))
+def test_decide_all_asks_each_policy_as_it_decides_and_isolates_its_faults(specs, assignment):
+    # ``assignment`` maps agent ids, in no particular order, to policies:
+    # two agents may share one, batching or not
+    calls = []
+    policies = [cls(f"p{i}", behaviour, calls) for i, (cls, behaviour) in enumerate(specs)]
+    owner = {aid: policies[index % len(policies)] for aid, index in assignment.items()}
+    decisions = PolicyMap(lambda agent: owner[agent.id]).decide_all(
+        {aid: observation(make_agent(aid, (0, 0))) for aid in assignment})
+
+    ids = sorted(assignment)
+    batches = {}  # each batching policy's ids, in the order of its first agent
+    for aid in ids:
+        if isinstance(owner[aid], RecordedBatch):
+            batches.setdefault(owner[aid], []).append(aid)
+    assert calls == ([(owner[aid].name, aid) for aid in ids
+                      if not isinstance(owner[aid], RecordedBatch)]
+                     + [(policy.name, members) for policy, members in batches.items()])
+    assert sorted(decisions) == ids
+    for aid in ids:
+        size = len(batches.get(owner[aid], [aid]))
+        assert decisions[aid] == owner[aid].expected(size)
 
 
 def test_policy_map_evaluate_proposal_fault_rejects():
