@@ -21,8 +21,10 @@ One turn runs in a fixed order:
    and, the first time a view of an observer on a cell is read, one entry
    for that cell: the cells in its vision range, the nodes on them, and its
    node order (``Observation.node_order``: nodes by Manhattan distance).
-3. decisions: policies are consulted in batch; a failed policy's decision
-   is REST, and a policy_fault record precedes its action record.
+3. decisions: a policy that overrides ``decide_batch`` is asked once for
+   all its agents; every other policy is asked one agent at a time, in id
+   order. A failed policy's decision is REST, and a policy_fault record
+   precedes its action record.
 4. resolution: queued actions resolve one at a time in a seeded-random
    permutation of agent ids; an agent killed before its action resolves
    has it cancelled (outcome ``cancelled_dead``).
@@ -626,8 +628,13 @@ def step(state: GameState, policies: Any) -> list[dict[str, Any]]:
     return list(play_turn(state, policies, decide))
 
 
-def run_game(state: GameState, policies: Any) -> GameLog:
+def run_game(state: GameState, policies: Any,
+             sink: Callable[[list[dict[str, Any]]], None] | None = None) -> GameLog:
     """Step ``state`` to termination and return the complete event log.
+
+    ``sink``, if given, is called with the records as they are appended:
+    the header, each turn's records just after ``step`` returns them, and
+    the end record (``metrics.Summarizer`` is one).
 
     Python's cyclic garbage collector is paused, process-wide, while the
     game plays, and left on or off afterwards as it was found, on error too.
@@ -639,8 +646,14 @@ def run_game(state: GameState, policies: Any) -> GameLog:
     # during the game, or a young one after it, would only re-walk the log.
     with collector_paused():
         log = GameLog()
-        log.append(header_event(state))
+
+        def add(records: list[dict[str, Any]]) -> None:
+            log.extend(records)
+            if sink is not None:
+                sink(records)
+
+        add([header_event(state)])
         while (reason := check_termination(state)) is None:
-            log.extend(step(state, policies))
-        log.append(end_event(state, reason))
+            add(step(state, policies))
+        add([end_event(state, reason)])
         return log

@@ -151,7 +151,7 @@ def complete(prompt: str, config: GatewayConfig) -> str:
     key = os.environ.get(config.api_key_env_var)
     if not key or not key.isprintable():  # a line break cannot go in a header
         raise GatewayAuthError(f"environment variable {config.api_key_env_var} "
-                               "is not set or not one printable line")
+                               "is not set or not one printable line", attempts=0)
     headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
     data = json.dumps(_request_body(prompt, config)).encode("utf-8")
 

@@ -33,7 +33,7 @@ from .core import (AgentState, ConfigError, GameConfig, ROLE_CHOOSER, ROLE_PROVI
 from .engine import run_game
 from .gamelog import MALFORMED_RECORD, GameLog, LogError
 from .gateway import GatewayConfig
-from .metrics import ACTION_TYPES, MetricsError, MetricsSummary, summarize
+from .metrics import ACTION_TYPES, MetricsError, MetricsSummary, Summarizer, summarize
 from .policy import LLMPolicy, Policy, PolicyMap, SCRIPTED_POLICIES, make_scripted
 
 
@@ -277,9 +277,10 @@ def run_experiment(preset: "str | Preset | GameConfig",
     exp_id = experiment_id_for(config)
     started = time.perf_counter()
     state = new_game(config)
-    log = run_game(state, policy_map)
+    summarizer = Summarizer()  # counts the game as it plays
+    log = run_game(state, policy_map, sink=summarizer)
     wall = time.perf_counter() - started
-    summary = summarize(log)
+    summary = summarizer.summary
 
     exp_dir: Path | None = None
     log_path: Path | None = None

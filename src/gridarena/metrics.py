@@ -1,4 +1,8 @@
-"""Behavioral metrics computed from a GameLog.
+"""Behavioral metrics counted from a game's records.
+
+One ``Summarizer`` counts them, fed the records in log order: a run's
+summary is counted while its game plays (``engine.run_game``'s ``sink``),
+and ``summarize`` counts a log that was read, in the same one pass.
 
 The headline number is normalized Shannon entropy of the whole-game
 action-type distribution: H_norm = -(1/log k) * sum(p_i log p_i) with k the
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .actions import ACTION_TYPES
 from .gamelog import GameLog, LogError
@@ -55,61 +59,14 @@ def normalized_entropy(action_counts: Mapping[str, float] | Iterable[float]) -> 
     return entropy / math.log(len(values))
 
 
-def _walk(log: GameLog) -> tuple[dict[str, int], dict[str, int], list[tuple[int, float, int]]]:
-    """Everything a log's metrics are counted from, in one pass over its
-    records: resolved actions per type (ACTION_TYPES order), the other
-    counts by name, and the per-turn series. A turn's action records come
-    before its ``turn_end``, so its entropy is taken there. An action whose
-    first word is not an action type is a MetricsError naming its line."""
-    counts: dict[str, int] = {}
-    tallies = dict.fromkeys(("trades", "attacks", "births", "fallbacks", "policy_faults"), 0)
-    per_turn: dict[int, dict[str, int]] = {}
-    alive = sum(1 for snap in log.header["agents"] if snap["alive"])
-    series = []
-    for index, event in enumerate(log):
-        kind = event["type"]
-        if kind == "action":
-            tallies["fallbacks"] += bool(event["fallback"])
-            if event["outcome"] == "cancelled_dead":
-                continue
-            name = event["action"].split(" ", 1)[0]
-            if name not in ACTION_TYPES:
-                raise MetricsError(f"line {log.lineno(index)} (action): "
-                                   f"{name!r} is not an action type")
-            counts[name] = counts.get(name, 0) + 1
-            bucket = per_turn.setdefault(event["turn"], {})
-            bucket[name] = bucket.get(name, 0) + 1
-            tallies["trades"] += name == "TRADE" and event["outcome"] == "accepted"
-            tallies["attacks"] += name == "ATTACK" and event["outcome"] == "ok"
-        elif kind == "policy_fault":
-            tallies["policy_faults"] += 1
-        elif kind == "turn_end":
-            turn = event["turn"]
-            tallies["births"] += len(event["births"])
-            alive = alive - len(event["deaths"]) + len(event["births"])
-            turn_counts = per_turn.get(turn, {})
-            entropy = normalized_entropy(turn_counts) if sum(turn_counts.values()) > 1 else 0.0
-            series.append((turn, entropy, alive))
-    return {name: counts[name] for name in ACTION_TYPES if name in counts}, tallies, series
-
-
-def per_turn_entropy(log: GameLog) -> list[tuple[int, float, int]]:
-    """Per-turn series of (turn, entropy, alive_count).
-
-    Entropy is the normalized entropy of that turn's action multiset; turns
-    with one or zero actions yield 0. alive_count is the population at the
-    end of the turn.
-    """
-    return _walk(log)[2]
-
-
 @dataclass(frozen=True)
 class MetricsSummary:
     """Whole-game metrics in reporting order.
 
     ``action_distribution`` holds full-precision percentages over the types
     that occurred; table writers round for display. ``per_turn`` is the
-    game's ``per_turn_entropy`` series.
+    series of (turn, entropy, alive_count) rows, one per turn, that the
+    ``Summarizer`` counted along with the rest.
     """
 
     trades_completed: int
@@ -133,29 +90,104 @@ class MetricsSummary:
                 if field.name not in ("action_distribution", "per_turn")}
 
 
+class Summarizer:
+    """Counts one game's metrics from its records as they come.
+
+    Call it with each batch of records in log order: ``engine.run_game``
+    calls it as its ``sink`` while the game plays, and ``summarize`` once
+    with a whole log. ``summary`` is None until the ``end`` record is
+    counted. ``per_turn`` gains a (turn, entropy, alive_count) row at each
+    ``turn_end``: the normalized entropy of the turn's resolved actions (0
+    for one or none) and the population after the turn.
+
+    ``lineno`` maps a record's index (from 0) to the line an error names,
+    by default index + 1. A first record that is not a header is a
+    LogError; an action whose first word is not an action type is a
+    MetricsError naming its line.
+    """
+
+    def __init__(self, lineno: Callable[[int], int] | None = None):
+        self.lineno = lineno or (lambda index: index + 1)
+        self.seen = 0  # records counted so far
+        self.alive = 0
+        self.counts: dict[str, int] = {}  # resolved actions per type
+        self.tallies = dict.fromkeys(("trades", "attacks", "births", "fallbacks",
+                                      "policy_faults"), 0)
+        self.turn_counts: dict[int, dict[str, int]] = {}  # resolved actions by turn
+        self.per_turn: list[tuple[int, float, int]] = []
+        self.summary: MetricsSummary | None = None
+
+    def __call__(self, records: Iterable[dict[str, Any]]) -> None:
+        counts, tallies = self.counts, self.tallies
+        for event in records:
+            kind = event["type"]
+            if not self.seen:
+                if kind != "header":
+                    raise LogError("log has no header record")
+                self.alive = sum(1 for snap in event["agents"] if snap["alive"])
+            elif kind == "action":
+                tallies["fallbacks"] += bool(event["fallback"])
+                if event["outcome"] != "cancelled_dead":
+                    name = event["action"].split(" ", 1)[0]
+                    if name not in ACTION_TYPES:
+                        raise MetricsError(f"line {self.lineno(self.seen)} (action): "
+                                           f"{name!r} is not an action type")
+                    counts[name] = counts.get(name, 0) + 1
+                    bucket = self.turn_counts.setdefault(event["turn"], {})
+                    bucket[name] = bucket.get(name, 0) + 1
+                    tallies["trades"] += name == "TRADE" and event["outcome"] == "accepted"
+                    tallies["attacks"] += name == "ATTACK" and event["outcome"] == "ok"
+            elif kind == "policy_fault":
+                tallies["policy_faults"] += 1
+            elif kind == "turn_end":
+                turn = event["turn"]
+                tallies["births"] += len(event["births"])
+                self.alive = self.alive - len(event["deaths"]) + len(event["births"])
+                turn_counts = self.turn_counts.get(turn, {})
+                entropy = normalized_entropy(turn_counts) if sum(turn_counts.values()) > 1 else 0.0
+                self.per_turn.append((turn, entropy, self.alive))
+            elif kind == "end":
+                self.summary = self._summary(event)
+            self.seen += 1
+
+    def _summary(self, end: dict[str, Any]) -> MetricsSummary:
+        """The summary of the records counted so far, ending at ``end``."""
+        counts = {name: self.counts[name] for name in ACTION_TYPES if name in self.counts}
+        total = sum(counts.values())
+        social = sum(counts.get(name, 0) for name in SOCIAL_TYPES)
+        distribution = {name: 100.0 * count / total for name, count in counts.items()} if total else {}
+        tallies = self.tallies
+        return MetricsSummary(
+            trades_completed=tallies["trades"],
+            attacks=tallies["attacks"],
+            survivors=end["survivors"],
+            duration=end["turn"],
+            social_action_pct=100.0 * social / total if total else 0.0,
+            entropy_norm=normalized_entropy(counts) if total else 0.0,
+            total_actions=total,
+            births=tallies["births"],
+            fallbacks=tallies["fallbacks"],
+            policy_faults=tallies["policy_faults"],
+            action_counts=counts,
+            action_distribution=distribution,
+            per_turn=list(self.per_turn),
+        )
+
+
 def summarize(log: GameLog) -> MetricsSummary:
     """Compute the summary for one complete game log."""
     try:
-        end = log.end
+        log.end
     except LogError as exc:
         raise MetricsError(str(exc)) from exc
+    summarizer = Summarizer(log.lineno)
+    summarizer(log)
+    return summarizer.summary
 
-    counts, tallies, per_turn = _walk(log)
-    total = sum(counts.values())
-    social = sum(counts.get(name, 0) for name in SOCIAL_TYPES)
-    distribution = {name: 100.0 * count / total for name, count in counts.items()} if total else {}
-    return MetricsSummary(
-        trades_completed=tallies["trades"],
-        attacks=tallies["attacks"],
-        survivors=end["survivors"],
-        duration=end["turn"],
-        social_action_pct=100.0 * social / total if total else 0.0,
-        entropy_norm=normalized_entropy(counts) if total else 0.0,
-        total_actions=total,
-        births=tallies["births"],
-        fallbacks=tallies["fallbacks"],
-        policy_faults=tallies["policy_faults"],
-        action_counts=counts,
-        action_distribution=distribution,
-        per_turn=per_turn,
-    )
+
+def per_turn_entropy(log: GameLog) -> list[tuple[int, float, int]]:
+    """The log's per-turn series (``Summarizer.per_turn``); the log needs no
+    end record."""
+    summarizer = Summarizer(log.lineno)
+    summarizer(log)
+    return summarizer.per_turn

@@ -9,6 +9,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -18,6 +19,7 @@ from hypothesis import settings
 from gridarena.actions import REST, Action
 from gridarena.core import Attributes, AgentState, GameConfig, GameState, ResourceNode
 from gridarena.gateway import GatewayConfig
+from gridarena.harness import PRESETS, build_policy_map
 from gridarena.policy import PolicyDecision, ScriptedPolicy
 
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -232,6 +234,23 @@ def food_node(pos, regen: int = 2, stock: int = -1) -> ResourceNode:
 
 def token_node(pos, regen: int = 1, stock: int = -1) -> ResourceNode:
     return ResourceNode(pos=tuple(pos), kind="token", regen=regen, stock=stock)
+
+
+def preset_game(name, **overrides):
+    """A preset's config, with ``overrides``, and its policy map."""
+    config = replace(PRESETS[name].config, **overrides)
+    return config, build_policy_map(PRESETS[name].policy_assignment, config)
+
+
+CROWD_SHAPED_POLICIES = "mixed:0-5=aggressor,6-11=trader,12-17=walker,*=greedy"
+
+
+def crowd_shaped_game(seed=11):
+    """A smaller game of the ``crowd`` benchmark's shape: stacked cells, a
+    vision range smaller than the grid, and the same policy mix."""
+    config = GameConfig(grid_width=12, grid_height=12, n_food_nodes=10, n_token_nodes=5,
+                        n_agents=24, upkeep=1, max_turns=30, seed=seed)
+    return config, build_policy_map(CROWD_SHAPED_POLICIES, config)
 
 
 class ScriptedSequence(ScriptedPolicy):

@@ -64,12 +64,15 @@ from gridarena.harness import PRESETS, build_policy_map
 from gridarena.policy import LLMPolicy, Policy, PolicyDecision, PolicyMap, make_scripted
 
 from conftest import (
+    CROWD_SHAPED_POLICIES,
     KEY_ENV,
+    crowd_shaped_game,
     flat_attrs,
     food_node,
     gateway_config,
     make_agent,
     make_state,
+    preset_game,
     promotes,
     small_config,
     token_node,
@@ -889,6 +892,17 @@ def test_run_game_ends_with_end_record():
     assert records[-1]["survivors"] == 2
 
 
+def test_run_game_hands_its_sink_the_records_as_they_are_appended():
+    config = small_config(n_agents=2, max_turns=3, upkeep=0)
+    batches = []
+    log = run_game(new_game(config), plan_map({}), sink=batches.append)
+    fed = [record for batch in batches for record in batch]
+    assert len(fed) == len(log) and all(a is b for a, b in zip(fed, log))
+    # the header, then one batch per turn, each ending at its turn_end, then the end
+    assert [batch[-1]["type"] for batch in batches] == ["header"] + ["turn_end"] * 3 + ["end"]
+    assert [len(batch) for batch in batches] == [1, 5, 5, 5, 1]
+
+
 def test_scripted_runs_are_deterministic():
     config = small_config(n_agents=4, max_turns=6)
     make = lambda: run_game(
@@ -1087,20 +1101,6 @@ def test_a_policy_that_gives_no_decision_is_a_logged_fault(path):
     assert {e["error"] for e in faults} == {
         "TypeError: policy returned NoneType, not a PolicyDecision"}
     assert replay(GameLog.from_text(log.to_text())).events == len(log.events)
-
-
-def preset_game(name, **overrides):
-    config = replace(PRESETS[name].config, **overrides)
-    return config, build_policy_map(PRESETS[name].policy_assignment, config)
-
-
-CROWD_SHAPED_POLICIES = "mixed:0-5=aggressor,6-11=trader,12-17=walker,*=greedy"
-
-
-def crowd_shaped_game(seed=11):
-    config = GameConfig(grid_width=12, grid_height=12, n_food_nodes=10, n_token_nodes=5,
-                        n_agents=24, upkeep=1, max_turns=30, seed=seed)
-    return config, build_policy_map(CROWD_SHAPED_POLICIES, config)
 
 
 def llm_refused_game(port):

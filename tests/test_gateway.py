@@ -115,15 +115,17 @@ def test_complete_happy_path_sends_expected_body(stub_gateway):
 
 def test_missing_api_key_fails_before_any_request(stub_gateway, monkeypatch):
     monkeypatch.delenv(KEY_ENV, raising=False)
-    with pytest.raises(GatewayAuthError):
+    with pytest.raises(GatewayAuthError) as excinfo:
         complete("hello", gateway_config(stub_gateway))
+    assert excinfo.value.attempts == 0 and excinfo.value.status is None
     assert stub_gateway.request_count == 0
 
 
 def test_unprintable_api_key_fails_before_any_request(stub_gateway, monkeypatch):
     monkeypatch.setenv(KEY_ENV, "stub-key\n")
-    with pytest.raises(GatewayAuthError):
+    with pytest.raises(GatewayAuthError) as excinfo:
         complete("hello", gateway_config(stub_gateway))
+    assert excinfo.value.attempts == 0 and excinfo.value.status is None
     assert stub_gateway.request_count == 0
 
 

@@ -672,13 +672,19 @@ def test_record_hash_is_the_hash_of_the_written_bytes(tmp_path, monkeypatch):
 
 
 def test_sweep_reads_back_and_resummarizes_no_log(tmp_path, monkeypatch):
+    # each game is summarised once, as it plays: its summarizer counts each
+    # record of its log once, and nothing walks the log again
     monkeypatch.setattr(GameLog, "read", refuse("GameLog.read"))
-    summarized = []
-    monkeypatch.setattr(harness, "summarize",
-                        lambda log: summarized.append(1) or metrics.summarize(log))
+    monkeypatch.setattr(harness, "summarize", refuse("summarize"))
+    summarizers = []
+    monkeypatch.setattr(harness, "Summarizer",
+                        lambda: summarizers.append(metrics.Summarizer()) or summarizers[-1])
     records = sweep(small_config(max_turns=4, n_agents=4), "upkeep", [1, 3],
                     policies="scripted:greedy", out_dir=tmp_path)
-    assert len(records) == len(summarized) == 2
+    assert len(records) == len(summarizers) == 2
+    for record, summarizer in zip(records, summarizers):
+        assert record.summary is summarizer.summary
+        assert summarizer.seen == record.log_path.read_text().count("\n")
     assert len(list(tmp_path.glob("perturn_*.csv"))) == 2
 
 

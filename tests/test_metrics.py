@@ -5,22 +5,23 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridarena import actions, metrics
 from gridarena.core import GameConfig, new_game
 from gridarena.engine import run_game
-from gridarena.gamelog import GameLog
+from gridarena.gamelog import GameLog, LogError
 from gridarena.metrics import (
     ACTION_TYPES,
     MetricsError,
+    Summarizer,
     normalized_entropy,
     per_turn_entropy,
     summarize,
 )
 from gridarena.policy import Policy, PolicyMap, make_scripted
 
-from conftest import small_config
+from conftest import crowd_shaped_game, preset_game, small_config
 
 
 def scripted_log(config=None, name="greedy"):
@@ -146,7 +147,7 @@ def test_summarize_counts_policy_faults_and_their_fallbacks():
 
 
 def test_summarize_requires_end_record():
-    from gridarena.gamelog import GameLog
+    from gridarena.gamelog import GameLog, LogError
 
     log = GameLog()
     with pytest.raises(MetricsError):
@@ -197,6 +198,37 @@ def test_summarize_walks_the_log_once():
     assert summary.action_counts == {name: resolved.count(name)
                                      for name in ACTION_TYPES if name in resolved}
     assert summary.per_turn == per_turn_entropy(log)
+
+
+# a twentieth of the profile's examples: 5 in the suite, 100 when searched deep
+@settings(max_examples=max(1, settings().max_examples // 20), deadline=None)
+@given(st.sampled_from(["crowd-shaped", "V7"]), st.integers(0, 2 ** 32 - 1))
+def test_the_summary_counted_as_a_game_plays_equals_summarize_of_its_log(game, seed):
+    config, policies = (crowd_shaped_game(seed) if game == "crowd-shaped"
+                        else preset_game("V7", seed=seed))
+    summarizer = Summarizer()
+    log = run_game(new_game(config), policies, sink=summarizer)
+    assert summarizer.seen == len(log)  # each record counted once
+    summary = summarize(log)
+    for field in dataclasses.fields(summary):
+        assert getattr(summarizer.summary, field.name) == getattr(summary, field.name), field.name
+    assert summarizer.summary == summary
+
+
+def test_a_summarizer_has_no_summary_before_the_end_record():
+    log = scripted_log()
+    summarizer = Summarizer()
+    summarizer(log.events[:-1])
+    assert summarizer.summary is None
+    assert summarizer.per_turn == per_turn_entropy(log)
+    summarizer(log.events[-1:])
+    assert summarizer.summary == summarize(log)
+
+
+def test_a_summarizer_refuses_a_first_record_that_is_not_a_header():
+    log = scripted_log()
+    with pytest.raises(LogError, match="^log has no header record$"):
+        Summarizer()(log.events[1:])
 
 
 def test_summary_record_lists_every_count_in_field_order():
